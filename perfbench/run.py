@@ -1,21 +1,22 @@
 """The orbitfactor benchmark: one workload, one seed, one JSON result.
 
-    python3 perfbench/run.py --workload {sweep,large-degree,group,cli} \\
+    python3 perfbench/run.py --workload {sweep,group,cli} \\
         --seed N --seconds S --trace {0,1}
 
 Run from anywhere; the package is taken from ``src/`` next to this
-directory.  Each op list is a pure function of (workload, seed, pass length)
-and is run by one client in a closed loop, in a fresh worker process.
+directory.  Each op list is a pure function of (workload, seed) and is run
+by one client in a closed loop, in a fresh worker process.
 
-``--trace 0`` runs the same op list (one pass, sized by PASS_SECONDS) in
-fresh processes, one after another, until ``--seconds`` have passed, and
-takes each op's latency as its minimum over the passes.  On a small shared
+``--trace 0`` runs the same op list (one pass) in fresh processes, one
+after another, until ``--seconds`` have passed, and takes each op's latency
+as its minimum over the passes.  On a small shared
 host, single-thread speed swings by up to 1.4x every few seconds with other
 tenants' load; the minimum over samples taken seconds apart is the op's cost
 when the machine was not slowed.  It reports ops per second over those
 latencies (time to solution for the op list), their median and 90th
 percentile, set-up time (process start to the first timed op, median over
-all passes and a few set-up-only processes) and peak resident memory.
+the passes) and peak resident memory (the largest of the unchecked passes,
+so that the checks' oracle calls do not count).
 
 ``--trace 1`` runs one pass untraced and one with the span recorder, and
 reports per-layer calls, self time and errors, cache-relevant repeat ratios,
@@ -49,11 +50,8 @@ sys.path.insert(0, str(HERE))
 
 from spans import ARG_KEYS, SPAN_NAMES  # noqa: E402
 
-WORKLOADS = ("sweep", "large-degree", "group", "cli")
-# op list length per pass, in seconds on the machine the sizes were set on
-PASS_SECONDS = {"sweep": 2.5, "large-degree": 3.3, "group": 3.5, "cli": 11.0}
-MIN_PASSES = 3
-SETUP_PROBES = 2          # set-up-only processes, besides the passes
+WORKLOADS = ("sweep", "group", "cli")
+MIN_PASSES = 3            # the first is checked, so at least two only timed
 IMPORT_PROBES = 5
 DEADLINE_S = 175.0
 
@@ -130,7 +128,7 @@ class Runner:
     def worker(self, mode: str, probe: bool = False, check: bool = True) -> dict:
         a = self.args
         cmd = [sys.executable, str(WORKER), "--workload", a.workload, "--seed", str(a.seed),
-               "--seconds", str(PASS_SECONDS[a.workload]), "--mode", mode]
+               "--mode", mode]
         cmd += ["--probe"] if probe else []
         cmd += [] if check else ["--no-check"]
         started, line = self.spawn(cmd)
@@ -146,13 +144,12 @@ class Runner:
 
 
 def end_to_end(runner: Runner) -> tuple[dict, dict]:
-    setups = [runner.worker("setup")["setup_s"] for _ in range(SETUP_PROBES)]
     # results are deterministic, so the first pass is checked and the rest only timed
     passes = []
     deadline = time.monotonic() + runner.args.seconds
     while len(passes) < MIN_PASSES or time.monotonic() < deadline:
         passes.append(runner.worker("run", check=not passes))
-    setups += [report["setup_s"] for report in passes]
+    setups = [report["setup_s"] for report in passes]
     lat = [min(samples) for samples in zip(*(report["latencies"] for report in passes))]
     p90 = statistics.quantiles(lat, n=10)[-1] if len(lat) > 1 else lat[0]
     values = {
@@ -160,7 +157,7 @@ def end_to_end(runner: Runner) -> tuple[dict, dict]:
         "op_p50_ms": statistics.median(lat) * 1e3,
         "op_p90_ms": p90 * 1e3,
         "setup_s": statistics.median(setups),
-        "peak_rss_mb": max(report["peak_rss_kb"] for report in passes) / 1024,
+        "peak_rss_mb": max(report["peak_rss_kb"] for report in passes[1:]) / 1024,
     }
     failed = {f["index"]: f for report in passes for f in report["failures"]}
     report = {"attempted": passes[0]["attempted"], "failures": list(failed.values())}

@@ -183,6 +183,7 @@ class Recorder:
             entry["errors"] += self.failed[i]
         return {
             "spans": out,
-            "repeats": {name: [out[name]["calls"], self.repeats[name]] for name in ARG_KEYS},
+            "repeats": {name: [out[name]["calls"], self.repeats[name]]
+                        for name in ARG_KEYS if name in out},
             "missing": list(self.missing),
         }

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -25,19 +26,19 @@ import workloads  # noqa: E402
 from orbitfactor import upoly  # noqa: E402
 
 
-def worker(workload: str, mode: str, seed: int = 5, seconds: float = 1) -> dict:
+def worker(workload: str, mode: str, seed: int = 5) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
     proc = subprocess.run([sys.executable, str(HERE / "worker.py"), "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--mode", mode],
+                           "--seed", str(seed), "--mode", mode],
                           env=env, capture_output=True, text=True, timeout=300, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("workload", run.WORKLOADS)
 def test_same_seed_gives_same_op_list(workload):
-    first = [op.key for op in workloads.build(workload, 3, 2)]
-    again = [op.key for op in workloads.build(workload, 3, 2)]
-    other = [op.key for op in workloads.build(workload, 4, 2)]
+    first = [op.key for op in workloads.build(workload, 3)]
+    again = [op.key for op in workloads.build(workload, 3)]
+    other = [op.key for op in workloads.build(workload, 4)]
     assert first == again
     assert first != other
 
@@ -50,8 +51,8 @@ def test_strata_cover_the_group():
 
 
 def test_wrapping_leaves_results_unchanged():
-    ops = workloads.build("sweep", 6, 1)[::40] + [
-        op for op in workloads.build("group", 6, 1)
+    ops = workloads.build("sweep", 6)[::40] + [
+        op for op in workloads.build("group", 6)
         if op.label.startswith(("lang_solve q=3", "class_of_lambda q=3", "conjugacy_classes q=7"))]
     original_mul = upoly.Poly.__mul__
     recorder = spans.Recorder()
@@ -76,12 +77,70 @@ def test_missing_span_is_reported_not_raised():
     assert recorder.missing == ["gf.no_such_function", "gf.FieldCtx.no_such_method"]
 
 
+class FakeClock:
+    """A perf_counter that moves only when a test function says it works."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def work(self, seconds: float) -> None:
+        self.now += seconds
+
+
+def test_self_times_follow_the_call_tree(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(spans, "time", clock)
+    fake = types.ModuleType("orbitfactor.fake")
+
+    def leaf():
+        clock.work(1)
+
+    def mid():
+        clock.work(2)
+        fake.leaf()
+        fake.leaf()
+
+    def top():
+        clock.work(4)
+        fake.mid()
+        fake.leaf()
+
+    def bad():
+        clock.work(16)
+        fake.leaf()
+        raise ValueError("expected")
+
+    fake.leaf, fake.mid, fake.top, fake.bad = leaf, mid, top, bad
+    monkeypatch.setitem(sys.modules, "orbitfactor.fake", fake)
+    recorder = spans.Recorder(names=["fake.top", "fake.mid", "fake.leaf", "fake.bad"])
+    recorder.install()
+    recorder.enabled = True
+    try:
+        with recorder.root():
+            clock.work(8)
+            fake.top()
+        with pytest.raises(ValueError), recorder.root():
+            fake.bad()
+    finally:
+        recorder.uninstall()
+    assert fake.leaf is leaf
+    got = {name: (entry["calls"], entry["self_s"], entry["errors"])
+           for name, entry in recorder.summary()["spans"].items()}
+    assert got == {spans.ROOT: (2, 8.0, 1), "fake.top": (1, 4.0, 0), "fake.mid": (1, 2.0, 0),
+                   "fake.leaf": (4, 4.0, 0), "fake.bad": (1, 16.0, 1)}
+
+
 def test_self_times_sum_to_traced_wall():
     plain = worker("sweep", "run")
     traced = worker("sweep", "trace")
     wall = sum(traced["latencies"])
     overhead = wall / sum(plain["latencies"]) - 1
-    total_self = sum(entry["self_s"] for entry in traced["summary"]["spans"].values())
+    entries = traced["summary"]["spans"].values()
+    assert all(entry["self_s"] >= 0 for entry in entries)
+    total_self = sum(entry["self_s"] for entry in entries)
     assert traced["summary"]["spans"][spans.ROOT]["calls"] == traced["attempted"]
     assert abs(total_self - wall) <= max(overhead, 0.01) * wall
 

@@ -1,15 +1,14 @@
 """One benchmark process: set up a workload, run its operations, report JSON.
 
-    python3 perfbench/worker.py --workload W --seed N --seconds S --mode M
+    python3 perfbench/worker.py --workload W --seed N --mode M
     python3 perfbench/worker.py --cli-trace ARG...
 
-Modes: ``setup`` stops after set-up; ``run`` times every op and checks it;
-``trace`` does the same with the span recorder installed.  ``--no-check``
-skips the checks, for passes that repeat a checked one.  ``--probe`` adds
-the gf/upoly kernel probe after the ops.  ``--cli-trace`` runs one CLI
-command in-process under the recorder.  The last line of standard output is
-one JSON object.  The orbitfactor package must be importable (``src`` on
-PYTHONPATH).
+Modes: ``run`` times every op and checks it; ``trace`` does the same with
+the span recorder installed.  ``--no-check`` skips the checks, for passes
+that repeat a checked one.  ``--probe`` adds the gf/upoly kernel probe after
+the ops.  ``--cli-trace`` runs one CLI command in-process under the
+recorder.  The last line of standard output is one JSON object.  The
+orbitfactor package must be importable (``src`` on PYTHONPATH).
 """
 
 from __future__ import annotations
@@ -124,8 +123,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--mode", choices=("setup", "run", "trace"), required=True)
+    parser.add_argument("--mode", choices=("run", "trace"), required=True)
     parser.add_argument("--probe", action="store_true")
     parser.add_argument("--no-check", action="store_true",
                         help="skip the correctness checks (for repeat passes)")
@@ -137,13 +135,10 @@ def main(argv: list[str]) -> int:
         import orbitfactor.cli  # noqa: F401  (cold import is part of a CLI user's set-up)
     traced = args.mode == "trace"
     if traced and args.workload == "cli":
-        ops = workloads.cli_ops(args.seed, args.seconds, command=_traced_cli_command)
+        ops = workloads.cli_ops(args.seed, command=_traced_cli_command)
     else:
-        ops = workloads.build(args.workload, args.seed, args.seconds)
+        ops = workloads.build(args.workload, args.seed)
     report = {"setup_end": time.monotonic(), "attempted": len(ops)}
-    if args.mode == "setup":
-        print(json.dumps(report))
-        return 0
 
     recorder = None
     if traced and args.workload != "cli":

@@ -1,10 +1,10 @@
-"""Seeded operation lists for the four benchmark workloads.
+"""Seeded operation lists for the benchmark workloads.
 
 Each workload is a list of operations run one after another by one client
 (a closed loop).  An operation is one call into the library, or one CLI
 invocation, followed by an untimed correctness check.  The list is a pure
-function of (workload, seed, seconds): the seed picks the elements, and the
-pass length in seconds sets how many operations there are.
+function of (workload, seed): the seed picks the elements, and the sizes
+below fix how many operations there are.
 
 Why these workloads:
 
@@ -12,10 +12,6 @@ Why these workloads:
   the same field each time, and s and its powers generate the same <s>.
   Extension fields with lookup tables are rebuilt on every call, so changes
   to ``gf.extend``, tables, memoization or ``connected_centralizer`` show.
-* ``large-degree`` -- one large independent problem per op: generic-tower
-  arithmetic in F_{q^r} and Poly mul/divmod at degree 17-32, with almost
-  no repeated subgroup.  A cache-only change should show no gain here; a
-  change to field or Poly arithmetic should.
 * ``group`` -- group-structure traffic that bypasses the structured
   factorization.  The O(|G|^2) class partition and ``Moebius.order``
   dominate; a change that touches only ``factor_by_orbit`` should show no
@@ -24,10 +20,10 @@ Why these workloads:
   interpreter: cold processes with empty caches, where import is most of a
   command.  Work moved into import time or cache warm-up shows here.
 
-``large-degree`` is not gated in BENCHMARK.json: it has few, large ops (18
-of 0.1-0.5 s) whose cost varies with the random equal-degree splitting, and
-its run-to-run spread exceeds the bound.  It stays runnable for
-measurements that support a claim.
+There is no ``large-degree`` workload (factor_by_orbit at prime q in 23-61
+and factor_general_k): its few, large ops (18 of 0.1-0.5 s) vary in cost
+from element to element with the equal-degree splitting, and its spread
+over seeds exceeded the bound.  The kernel probe (probe.py) covers field and Poly arithmetic.
 
 Elements are drawn within strata of (field, class, order), with a fixed
 number per stratum, so that the cost of an op list barely depends on the
@@ -50,27 +46,16 @@ from orbitfactor import gf, grouporbit as go, invariants as inv, moebius as mo
 from orbitfactor import structfactor as sf
 from orbitfactor import upoly
 
-# Sizes are per pass of the given length; a run repeats a pass in fresh
-# processes.  Inputs whose calls take over about a second each were left out
-# to fit a pass; see LEFT_OUT.
+# Sizes are per pass, about 2.5-16 s on a 2-vCPU x86-64 host; a run repeats
+# a pass in fresh processes.  Inputs whose calls take over about a second
+# each were left out to fit a pass; see LEFT_OUT.
 
 # sweep: (p, m) fields, in the order a user sweeps them; every non-identity
 # element for the small fields, the criterion-7 elements (nonsplit, order
 # r > 2 dividing q+1) for the others
 SWEEP_FIELDS = ((3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1))
 SWEEP_ALL_CLASSES = frozenset({3, 4, 5, 7})
-SWEEP_SHARE_PER_SECOND = 0.02       # share of each stratum drawn per second of pass
-
-# large-degree: prime fields, one element per (class, order) stratum with
-# order r >= (q-1)/2, so that every op works in an extension of degree >= 11
-LARGE_PRIMES = (23, 29, 31)
-# (p, m, k, class, order) for factor_general_k, for q^k in {16, 25, 27}
-GENERAL_K = (
-    (2, 2, 2, "split", 3),
-    (5, 1, 2, "unipotent", 5),
-    (3, 1, 3, "nonsplit", 4),
-)
-LARGE_ROUND_SECONDS = 2.5
+SWEEP_SHARE = 0.05                  # share of each stratum drawn, at least one element
 
 # group
 CLASS_FIELDS = ((7, 1), (11, 1))
@@ -81,7 +66,6 @@ A5_PRIMES = (11,)
 LAMBDA_REPORT_FIELDS = ((5, 1), (7, 1), (3, 2), (11, 1))
 LAMBDA_REPORTS_PER_FIELD = 2
 LANG_FIELDS = ((2, 1), (3, 1), (2, 2))
-GROUP_ROUND_SECONDS = 3.0
 
 # cli: the README "Command line" commands; each runs as text and as --json
 README_COMMANDS = (
@@ -97,10 +81,9 @@ README_COMMANDS = (
     ["lang", "--p", "2", "--m", "1", "--s", "(1)/(x+1)"],
 )
 VERIFY_SUITES = ("paper-examples", "lemmas")
-# README passes per round, against one run of each verify suite; two keep the
-# 90th percentile inside the README commands rather than between the suites
+# README passes, against one run of each verify suite; two keep the 90th
+# percentile inside the README commands rather than between the suites
 CLI_README_PASSES = 2
-CLI_ROUND_SECONDS = 11.0
 
 # Inputs kept out of the timed set because one call outlasts a run, with the
 # time one call took when measured (2-vCPU x86-64, Python 3.11).  Promote one
@@ -118,8 +101,11 @@ CLIFFS = {
 }
 
 # Inputs left out so that a pass fits its length, with the time one call
-# took on the same machine.
+# took on the same machine.  The "large-degree" entry is the op list of the
+# workload left out above, so that a later change can bring it back.
 LEFT_OUT = {
+    "large-degree": "factor_by_orbit at q=23,29,31 with order r >= (q-1)/2, and "
+                    "factor_general_k at q^k=16,25,27: 18 ops of 0.1-0.5 s",
     "factor_general_k.q^k=49,64,81,121,125": "0.5 s, 1.4 s, 1.8 s, 2.7 s, 2.4 s",
     "factor_by_orbit.q=37..61": "0.5-5 s at the largest orders",
     "conjugacy_classes.q=8,9,13,17": "1.1 s, 1.6 s, 1.1 s, 2.9 s",
@@ -223,23 +209,13 @@ def factor_op(s: mo.Moebius, label: str) -> Op:
     return Op(label, (label, s.key()), lambda: sf.factor_by_orbit(s), check)
 
 
-def general_k_op(s: mo.Moebius, k: int, label: str) -> Op:
-    def check(res) -> float:
-        poly = sf.companion_poly(s.ctx, s.entries(), k)
-        _expect(res.input == poly and res.reconstruct() == poly, "does not reconstruct the input")
-        return _same_as_oracle(poly, res.unit, res.factors)
-
-    return Op(label, (label, s.key()), lambda: sf.factor_general_k(s, k), check)
-
-
-def sweep_ops(seed: int, seconds: float) -> list[Op]:
+def sweep_ops(seed: int) -> list[Op]:
     rng = random.Random(f"sweep/{seed}")
-    share = min(1.0, SWEEP_SHARE_PER_SECOND * seconds)
     ops = []
     for p, m in SWEEP_FIELDS:
         ctx = gf.field_create(p, m)
         q = ctx.order
-        wanted = {(kind, r): min(size, max(1, round(share * size)))
+        wanted = {(kind, r): min(size, max(1, round(SWEEP_SHARE * size)))
                   for kind, r, size in strata(ctx)
                   if q in SWEEP_ALL_CLASSES or (kind == "nonsplit" and r > 2)}
         field_ops = [factor_op(s, f"factor_by_orbit q={q} {kind} r={r}")
@@ -247,33 +223,6 @@ def sweep_ops(seed: int, seconds: float) -> list[Op]:
                      for s in elems]
         rng.shuffle(field_ops)
         ops += field_ops
-    return ops
-
-
-def _rounds(seconds: float, round_seconds: float) -> int:
-    return max(1, round(seconds / round_seconds))
-
-
-def large_degree_ops(seed: int, seconds: float) -> list[Op]:
-    rng = random.Random(f"large-degree/{seed}")
-    rounds = _rounds(seconds, LARGE_ROUND_SECONDS)
-    per_round: list[list[Op]] = [[] for _ in range(rounds)]
-    for q in LARGE_PRIMES:
-        ctx = gf.field_create(q, 1)
-        wanted = {(kind, r): rounds for kind, r, _ in strata(ctx) if 2 * r >= q - 1}
-        for (kind, r), elems in draw_elements(ctx, wanted, rng).items():
-            for i, s in enumerate(elems):
-                per_round[i].append(factor_op(s, f"factor_by_orbit q={q} {kind} r={r}"))
-    for p, m, k, kind, r in GENERAL_K:
-        ctx = gf.field_create(p, m)
-        elems = draw_elements(ctx, {(kind, r): rounds}, rng)[(kind, r)]
-        for i, s in enumerate(elems):
-            label = f"factor_general_k q={ctx.order} k={k} {kind} r={r}"
-            per_round[i].append(general_k_op(s, k, label))
-    ops = []
-    for round_ops in per_round:
-        rng.shuffle(round_ops)
-        ops += round_ops
     return ops
 
 
@@ -334,7 +283,8 @@ def _subgroup_ops(name: str, get_group) -> list[Op]:
     ]
 
 
-def _group_round(rng: random.Random) -> list[Op]:
+def group_ops(seed: int) -> list[Op]:
+    rng = random.Random(f"group/{seed}")
     ops = []
     for p, m in CLASS_FIELDS:
         ctx = gf.field_create(p, m)
@@ -398,14 +348,6 @@ def _group_round(rng: random.Random) -> list[Op]:
     return ops
 
 
-def group_ops(seed: int, seconds: float) -> list[Op]:
-    rng = random.Random(f"group/{seed}")
-    ops = []
-    for _ in range(_rounds(seconds, GROUP_ROUND_SECONDS)):
-        ops += _group_round(rng)
-    return ops
-
-
 def known_defect_ops() -> list[Op]:
     """Calls that fail today (see KNOWN_DEFECTS)."""
     s = mo.parse_moebius(gf.field_create(7, 1), "(3x-1)/(x+3)")
@@ -436,21 +378,18 @@ def cli_check(argv: list[str]):
     return check
 
 
-def cli_argvs(seed: int, seconds: float) -> list[list[str]]:
+def cli_argvs(seed: int) -> list[list[str]]:
     rng = random.Random(f"cli/{seed}")
-    out = []
-    for _ in range(_rounds(seconds, CLI_ROUND_SECONDS)):
-        round_argvs = [argv + extra for argv in README_COMMANDS for extra in ([], ["--json"])]
-        round_argvs *= CLI_README_PASSES
-        round_argvs += [["verify", "--suite", suite, "--json"] for suite in VERIFY_SUITES]
-        rng.shuffle(round_argvs)
-        out += round_argvs
-    return out
+    argvs = [argv + extra for argv in README_COMMANDS for extra in ([], ["--json"])]
+    argvs *= CLI_README_PASSES
+    argvs += [["verify", "--suite", suite, "--json"] for suite in VERIFY_SUITES]
+    rng.shuffle(argvs)
+    return argvs
 
 
-def cli_ops(seed: int, seconds: float, command=cli_command) -> list[Op]:
+def cli_ops(seed: int, command=cli_command) -> list[Op]:
     ops = []
-    for argv in cli_argvs(seed, seconds):
+    for argv in cli_argvs(seed):
         def run(argv=argv):
             return subprocess.run(command(argv), capture_output=True, text=True, timeout=120)
         ops.append(Op("cli " + " ".join(argv), tuple(argv), run, cli_check(argv)))
@@ -459,11 +398,10 @@ def cli_ops(seed: int, seconds: float, command=cli_command) -> list[Op]:
 
 OP_LISTS = {
     "sweep": sweep_ops,
-    "large-degree": large_degree_ops,
     "group": group_ops,
     "cli": cli_ops,
 }
 
 
-def build(workload: str, seed: int, seconds: float) -> list[Op]:
-    return OP_LISTS[workload](seed, seconds)
+def build(workload: str, seed: int) -> list[Op]:
+    return OP_LISTS[workload](seed)
