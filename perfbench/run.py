@@ -7,16 +7,17 @@ Run from anywhere; the package is taken from ``src/`` next to this
 directory.  Each op list is a pure function of (workload, seed) and is run
 by one client in a closed loop, in a fresh worker process.
 
-``--trace 0`` runs the same op list (one pass) in fresh processes, one
-after another, until ``--seconds`` have passed, and takes each op's latency
-as its minimum over the passes.  On a small shared
-host, single-thread speed swings by up to 1.4x every few seconds with other
-tenants' load; the minimum over samples taken seconds apart is the op's cost
-when the machine was not slowed.  It reports ops per second over those
-latencies (time to solution for the op list), their median and 90th
-percentile, set-up time (process start to the first timed op, median over
-the passes) and peak resident memory (the largest of the unchecked passes,
-so that the checks' oracle calls do not count).
+``--trace 0`` runs the same op list (one pass) in fresh processes for
+``--seconds`` (at least three passes), two passes at a time on a host with
+two or more CPUs.  The first pass is checked; the op latencies of all the
+others are pooled.  On a small shared host, single-thread speed swings by
+up to 2x within seconds with other tenants' load, and the swings of two CPUs
+are nearly independent, so pooling many passes on both CPUs averages the
+swings out; the minimum of a few samples of each op does not.  It reports
+ops per second over the pooled latencies (time to solution for the op list),
+their median and 90th percentile, set-up time (process start to the first
+timed op, median over the passes) and peak resident memory (the largest of
+the unchecked passes, so that the checks' oracle calls do not count).
 
 ``--trace 1`` runs one pass untraced and one with the span recorder, and
 reports per-layer calls, self time and errors, cache-relevant repeat ratios,
@@ -51,7 +52,8 @@ sys.path.insert(0, str(HERE))
 from spans import ARG_KEYS, SPAN_NAMES  # noqa: E402
 
 WORKLOADS = ("sweep", "group", "cli")
-MIN_PASSES = 3            # the first is checked, so at least two only timed
+MIN_PASSES = 3            # the first is checked, so at least two are timed
+PARALLEL = min(2, len(os.sched_getaffinity(0)))   # passes run at once, one per CPU
 IMPORT_PROBES = 5
 DEADLINE_S = 175.0
 
@@ -106,69 +108,87 @@ class Runner:
             raise BenchError("out of time")
         return left
 
-    def spawn(self, cmd: list[str]) -> tuple[float, str]:
-        """Run one process, in its own process group, to completion; returns
-        its start time and the last line of its stdout."""
-        timeout = self._remaining()
-        started = time.monotonic()
-        proc = subprocess.Popen(cmd, env=self.env, cwd=ROOT, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+    def spawn(self, cmds: list[list[str]]) -> list[tuple[float, str]]:
+        """Run processes at once, each in its own process group, to completion;
+        returns each one's start time and the last line of its stdout."""
+        deadline = time.monotonic() + self._remaining()
+        procs = []
         try:
-            out, err = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired as exc:
-            raise BenchError(f"{' '.join(cmd[1:])} timed out") from exc
+            for cmd in cmds:
+                procs.append((cmd, time.monotonic(), subprocess.Popen(
+                    cmd, env=self.env, cwd=ROOT, stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE, text=True, start_new_session=True)))
+            done = []
+            for cmd, started, proc in procs:
+                try:
+                    out, err = proc.communicate(timeout=max(deadline - time.monotonic(), 0.1))
+                except subprocess.TimeoutExpired as exc:
+                    raise BenchError(f"{' '.join(cmd[1:])} timed out") from exc
+                if proc.returncode != 0 or not out.strip():
+                    raise BenchError(f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{err}")
+                done.append((started, out.strip().splitlines()[-1]))
+            return done
         finally:
-            if proc.poll() is None:  # timed out or interrupted: stop the whole group
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-        if proc.returncode != 0 or not out.strip():
-            raise BenchError(f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{err}")
-        return started, out.strip().splitlines()[-1]
+            for _, _, proc in procs:
+                if proc.poll() is None:  # failed, timed out or interrupted: stop the group
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.communicate()
 
-    def worker(self, mode: str, probe: bool = False, check: bool = True) -> dict:
+    def workers(self, mode: str, count: int = 1, probe: bool = False,
+                check: bool = True) -> list[dict]:
+        """``count`` passes at once; only the first is checked, if ``check``."""
         a = self.args
         cmd = [sys.executable, str(WORKER), "--workload", a.workload, "--seed", str(a.seed),
                "--mode", mode]
         cmd += ["--probe"] if probe else []
-        cmd += [] if check else ["--no-check"]
-        started, line = self.spawn(cmd)
-        report = json.loads(line)
-        report["setup_s"] = report["setup_end"] - started
-        return report
+        cmds = [cmd + ([] if check and i == 0 else ["--no-check"]) for i in range(count)]
+        reports = []
+        for started, line in self.spawn(cmds):
+            report = json.loads(line)
+            report["setup_s"] = report["setup_end"] - started
+            reports.append(report)
+        return reports
 
     def import_seconds(self) -> float:
         code = ("import time; t = time.perf_counter(); import orbitfactor.cli; "
                 "print(time.perf_counter() - t)")
-        return statistics.median(float(self.spawn([sys.executable, "-c", code])[1])
+        return statistics.median(float(self.spawn([[sys.executable, "-c", code]])[0][1])
                                  for _ in range(IMPORT_PROBES))
 
 
 def end_to_end(runner: Runner) -> tuple[dict, dict]:
-    # results are deterministic, so the first pass is checked and the rest only timed
+    # results are deterministic, so the first pass is checked and the rest only
+    # timed; passes run PARALLEL at a time, and a round starts only if one as
+    # long as the last still ends by the deadline
     passes = []
     deadline = time.monotonic() + runner.args.seconds
-    while len(passes) < MIN_PASSES or time.monotonic() < deadline:
-        passes.append(runner.worker("run", check=not passes))
+    last = 0.0
+    while len(passes) < MIN_PASSES or time.monotonic() + last < deadline:
+        started = time.monotonic()
+        passes += runner.workers("run", PARALLEL, check=not passes)
+        last = time.monotonic() - started
     setups = [report["setup_s"] for report in passes]
-    lat = [min(samples) for samples in zip(*(report["latencies"] for report in passes))]
-    p90 = statistics.quantiles(lat, n=10)[-1] if len(lat) > 1 else lat[0]
+    timed = passes[1:]  # the checked pass runs the oracle between its ops
+    lat = [x for report in timed for x in report["latencies"]]
+    p90 = statistics.quantiles(lat, n=10)[-1]
     values = {
         "ops_per_s": len(lat) / sum(lat),
         "op_p50_ms": statistics.median(lat) * 1e3,
         "op_p90_ms": p90 * 1e3,
         "setup_s": statistics.median(setups),
-        "peak_rss_mb": max(report["peak_rss_kb"] for report in passes[1:]) / 1024,
+        "peak_rss_mb": max(report["peak_rss_kb"] for report in timed) / 1024,
     }
     failed = {f["index"]: f for report in passes for f in report["failures"]}
     report = {"attempted": passes[0]["attempted"], "failures": list(failed.values())}
-    meta = {"ops": len(lat), "beyond_p90": sum(1 for x in lat if x > p90),
+    meta = {"ops": passes[0]["attempted"], "samples": len(lat),
+            "beyond_p90": sum(1 for x in lat if x > p90),
             "pass_s": [sum(r["latencies"]) for r in passes], "setup_samples_s": setups}
     return report, {"values": values, "units": END_TO_END_UNITS, "meta": meta}
 
 
 def per_layer(runner: Runner) -> tuple[dict, dict]:
-    plain = runner.worker("run", probe=True)
-    report = runner.worker("trace")
+    plain, = runner.workers("run", probe=True)
+    report, = runner.workers("trace")
     summary = report["summary"]
     values = {}
     for name in SPAN_NAMES:

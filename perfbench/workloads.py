@@ -46,9 +46,10 @@ from orbitfactor import gf, grouporbit as go, invariants as inv, moebius as mo
 from orbitfactor import structfactor as sf
 from orbitfactor import upoly
 
-# Sizes are per pass, about 2.5-16 s on a 2-vCPU x86-64 host; a run repeats
+# Sizes are per pass, about 3-16 s on a 2-vCPU x86-64 host; a run repeats
 # a pass in fresh processes.  Inputs whose calls take over about a second
-# each were left out to fit a pass; see LEFT_OUT.
+# each were left out to fit a pass; see LEFT_OUT.  Sweep and group hold at
+# least 100 ops, so that at least ten lie beyond the 90th percentile.
 
 # sweep: (p, m) fields, in the order a user sweeps them; every non-identity
 # element for the small fields, the criterion-7 elements (nonsplit, order
@@ -59,13 +60,14 @@ SWEEP_SHARE = 0.05                  # share of each stratum drawn, at least one 
 
 # group
 CLASS_FIELDS = ((7, 1), (11, 1))
-CLASS_OF_PER_FIELD = 4
+CLASS_OF_PER_FIELD = 18
 LAMBDA_FIELDS = ((3, 1), (2, 2))
 PGL_FIELDS = ((3, 1), (2, 2), (5, 1))
 A5_PRIMES = (11,)
 LAMBDA_REPORT_FIELDS = ((5, 1), (7, 1), (3, 2), (11, 1))
-LAMBDA_REPORTS_PER_FIELD = 2
+LAMBDA_REPORTS_PER_FIELD = 5
 LANG_FIELDS = ((2, 1), (3, 1), (2, 2))
+LANG_PER_STRATUM = 2
 
 # cli: the README "Command line" commands; each runs as text and as --json
 README_COMMANDS = (
@@ -111,7 +113,8 @@ LEFT_OUT = {
     "conjugacy_classes.q=8,9,13,17": "1.1 s, 1.6 s, 1.1 s, 2.9 s",
     "class_of_lambda.q=5": "1.7 s in total, 1.3 s of it for lambda=0",
     "a5_subgroup.q=19": "2.2 s",
-    "lang_solve.q=5": "0.8 s over its six (class, order) strata",
+    "lang_solve.q=5": "0.8 s over its six (class, order) strata, 40-430 ms a call, "
+                      "varying with the element drawn",
 }
 
 # Inputs that fail today; the traced run of ``group`` calls them as probes
@@ -342,7 +345,7 @@ def group_ops(seed: int) -> list[Op]:
                           lambda s=s: sf.lambda_family_report(s), check))
     for p, m in LANG_FIELDS:
         ctx = gf.field_create(p, m)
-        wanted = {(kind, r): 1 for kind, r, _ in strata(ctx)}
+        wanted = {(kind, r): LANG_PER_STRATUM for kind, r, _ in strata(ctx)}
         for (kind, r), elems in draw_elements(ctx, wanted, rng).items():
             ops += [lang_op(s, f"lang_solve q={ctx.order} {kind} r={r}") for s in elems]
     return ops
