@@ -97,10 +97,16 @@ def _poly_doc(f: upoly.Poly) -> str:
     return upoly.format_poly(f)
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def _cmd_factor(args) -> int:
+    _require_positive("--k", args.k)
     ctx = gf.field_create(args.p, args.m)
     raw, s = mo.parse_moebius_raw(ctx, args.s)
-    res = sf.factor_general_k(s, args.k, seed=args.seed)
+    res = sf.factor_general_k(s, args.k)
     # scale to the caller's coefficients: raw and normalized differ by a unit
     input_poly = sf.companion_poly(ctx, raw, args.k)
     unit = res.unit
@@ -140,11 +146,10 @@ def _cmd_factor(args) -> int:
                                        "minimal_check": True})
         lines.append("factors (factor, lambda):")
         for entry in structured.factors:
-            min_ok = gf.minimal_poly(entry.source, ctx) == entry.poly
             lines.append(f"  {_poly_doc(entry.poly)}   lambda = {entry.lam}")
             doc["factors"].append({"factor": _poly_doc(entry.poly),
                                    "lambda": str(entry.lam),
-                                   "minimal_check": min_ok})
+                                   "minimal_check": upoly.is_irreducible(entry.poly)})
         lines.append(f"family: {structured.orbit_poly.family_text()}")
     else:
         lines.append("factors over the ground field:")
@@ -212,6 +217,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    _require_positive("--ext", args.ext)
     ctx = gf.field_create(args.p, args.m)
     G = go.generate(ctx, [mo.parse_moebius(ctx, t) for t in args.gens])
     report = go.orbit_decomposition(G, args.ext)

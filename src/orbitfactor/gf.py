@@ -626,7 +626,9 @@ def least_irreducible(ctx: FieldCtx, d: int):
         ctx._irr_cache[d] = poly
         return poly
     one = ctx.one()
-    for tail in itertools.product(range(ctx.order), repeat=d):
+    # the constant term varies slowest; starting it at 1 skips only multiples of T
+    q = ctx.order
+    for tail in itertools.product(range(1, q), *[range(q)] * (d - 1)):
         coeffs = tuple(ctx.decode(c) for c in tail) + (one,)
         poly = upoly.Poly(ctx, coeffs)
         if upoly.is_irreducible(poly):

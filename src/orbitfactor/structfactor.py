@@ -1,11 +1,12 @@
 """Structured factorization of c*T^(q+1) + d*T^q - a*T - b and its relatives.
 
 The roots of this polynomial are exactly the points moved to their q-th power
-by s(x) = (ax+b)/(cx+d).  One root is obtained from the general-purpose
-oracle; every other root is a centralizer translate of it, so all remaining
-irreducible factors are built structurally as products over the orbits of
-the cyclic group generated by s, and the result is cross-checked against
-exact reconstruction of the input.
+by s(x) = (ax+b)/(cx+d).  After the rational fixed points of s are stripped,
+every irreducible factor is the orbit polynomial of the cyclic group
+generated by s, specialized in its linear one-parameter family at some
+lambda in F_q.  The factors are found by sweeping lambda over F_q, using
+only F_q arithmetic, and the result is cross-checked against exact
+reconstruction of the input.
 """
 
 from __future__ import annotations
@@ -44,36 +45,6 @@ def companion_poly(ctx: gf.FieldCtx, entries: tuple, k: int = 1) -> upoly.Poly:
     return upoly.Poly(ctx, coeffs)
 
 
-def connected_centralizer(s: mo.Moebius) -> list[mo.Moebius]:
-    """Transformations induced by the invertible matrices u*I + v*A, where A
-    is a pre-image of s.
-
-    For non-identity s this subgroup acts simply transitively on the
-    solutions of s(z) = z^q outside P^1(F_q); its order is q-1, q, or q+1
-    according to the split/unipotent/nonsplit trichotomy.
-    """
-    if s.is_identity():
-        raise IdentityInputError("the identity has the whole group as centralizer")
-    ctx = s.ctx
-    a, b, c, d = s.entries()
-    seen = set()
-    out = []
-    for u in ctx.elements():
-        for v in ctx.elements():
-            if not u and not v:
-                continue
-            m11 = u + v * a
-            m22 = u + v * d
-            if not (m11 * m22 - v * v * b * c):
-                continue
-            t = mo.Moebius(m11, v * b, v * c, m22)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-    out.sort(key=lambda t: t.key())
-    return out
-
-
 def find_s_for_alpha(G: go.Subgroup, alpha: gf.FieldElem,
                      phi: Optional[inv.RatFunc] = None) -> mo.Moebius:
     """The element of G sending alpha to alpha^q (unique on regular orbits).
@@ -100,7 +71,6 @@ def find_s_for_alpha(G: go.Subgroup, alpha: gf.FieldElem,
 class FactorEntry:
     poly: upoly.Poly          # monic irreducible over F_q
     lam: mo.ProjPoint         # value of the family parameter on this factor
-    source: gf.FieldElem      # smallest root, in the bootstrap extension
 
 
 @dataclass(frozen=True)
@@ -111,7 +81,6 @@ class StructuredFactorization:
     factors: tuple[FactorEntry, ...]
     degree_r: int
     orbit_poly: inv.OrbitPolynomial
-    root_field: gf.FieldCtx
 
     def reconstruct(self) -> upoly.Poly:
         out = upoly.Poly.constant(self.unit)
@@ -147,20 +116,22 @@ def root_extension(ctx: gf.FieldCtx, h: upoly.Poly) -> tuple[gf.FieldCtx, gf.Fie
     return flat, roots[0]
 
 
-def factor_by_orbit(s: mo.Moebius, seed: int = 0) -> StructuredFactorization:
+def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     """Factor the companion polynomial of s by orbit-polynomial specialization.
 
     Finite fixed points of s on P^1(F_q) are stripped as linear factors
     (this is the whole adjustment needed in the split and unipotent cases).
-    One root of the remainder is bootstrapped from the oracle; centralizer
-    translates give all other roots, each orbit under s contributing one
-    monic irreducible factor of degree r = order(s), equal to the orbit
-    polynomial of <s> specialized at any of its roots.
+    Every remaining irreducible factor has degree r = order(s) and is the
+    orbit polynomial of <s> specialized at one of its roots, i.e. the member
+    F_lambda of the linear one-parameter family at some lambda in F_q (the
+    poles of the parameter are rational, so lambda is never infinite).  The
+    factors are therefore the F_lambda that divide the remainder, found by
+    sweeping lambda over F_q; a degree-r divisor of a squarefree product of
+    degree-r irreducibles is one of them.
     """
     if s.is_identity():
         raise IdentityInputError("companion of the identity is T^q - T; nothing structured")
     ctx = s.ctx
-    q = ctx.order
     ps = frobenius_companion(s)
     unit = ps.lc()
     work = ps.monic()
@@ -180,65 +151,23 @@ def factor_by_orbit(s: mo.Moebius, seed: int = 0) -> StructuredFactorization:
     if work.deg % r:
         raise InvariantViolation("stripped degree is not a multiple of the order")
 
-    h = upoly.least_degree_factor(work, seed)
-    if h.deg != r:
-        raise InvariantViolation(
-            f"bootstrap factor has degree {h.deg}, expected the order {r}")
-    ext, alpha = root_extension(ctx, h)
-    s_ext = s.lift_to(ext)
-
-    # s(alpha) = alpha^q, and then s^i(alpha) = alpha^(q^i) throughout
-    power = alpha
-    pt = mo.ProjPoint(alpha)
-    for _ in range(r):
-        power = power ** q
-        pt = s_ext.apply(pt)
-        if pt.value != power:
-            raise InvariantViolation("group action and Frobenius disagree on the root")
-
-    translates = connected_centralizer(s)
-    if len(translates) != work.deg:
-        raise InvariantViolation("centralizer order does not match the root count")
-    roots = set()
-    base_pt = mo.ProjPoint(alpha)
-    for u in translates:
-        value = u.lift_to(ext).apply(base_pt).value
-        if value is None:
-            raise InvariantViolation("a centralizer translate left the affine line")
-        roots.add(value)
-    if len(roots) != work.deg:
-        raise InvariantViolation("centralizer translates are not distinct roots")
-
     P = inv.orbit_polynomial(go.generate(ctx, [s]))
+    if len(P.coeffs) != r + 1:
+        raise InvariantViolation("orbit polynomial degree differs from the order")
     factors = []
-    remaining = set(roots)
-    x_ext = upoly.Poly.x(ext)
-    while remaining:
-        beta = min(remaining, key=lambda v: v.encode())
-        orbit = []
-        current = mo.ProjPoint(beta)
-        for _ in range(r):
-            if current.value is None or current.value not in remaining:
-                raise InvariantViolation("orbit under s left the root set")
-            orbit.append(current.value)
-            remaining.discard(current.value)
-            current = s_ext.apply(current)
-        if current.value != beta:
-            raise InvariantViolation("orbit under s did not close up")
-        prod = upoly.Poly.one(ext)
-        for root in orbit:
-            prod = prod * (x_ext - upoly.Poly.constant(root))
-        coeffs = tuple(gf.down_cast(c, ctx) for c in prod.coeffs)
-        factor = upoly.Poly(ctx, coeffs)
-        if P.specialize(beta) != prod:
-            raise InvariantViolation("factor disagrees with the specialized orbit polynomial")
-        lam_val = factor.coeffs[P.param_index] if P.param_index <= factor.deg else None
-        lam = mo.ProjPoint(lam_val) if lam_val is not None else mo.INFINITY
-        factors.append(FactorEntry(factor, lam, beta))
+    for lam in ctx.elements():
+        if work.deg == 0:
+            break
+        candidate = upoly.Poly(ctx, [a * lam + b for a, b in P.family])
+        quotient, rem = divmod(work, candidate)
+        if not rem:
+            work = quotient
+            factors.append(FactorEntry(candidate, mo.ProjPoint(lam)))
+    if work.deg != 0:
+        raise InvariantViolation("the family does not exhaust the remainder")
     factors.sort(key=lambda e: e.poly.key())
 
-    result = StructuredFactorization(ps, unit, tuple(removed), tuple(factors),
-                                     r, P, ext)
+    result = StructuredFactorization(ps, unit, tuple(removed), tuple(factors), r, P)
     if result.reconstruct() != ps:
         raise InvariantViolation("structured factors do not reconstruct the input")
     return result
@@ -461,7 +390,7 @@ def _ground_extension(ctx: gf.FieldCtx, k: int):
     return flat, hom
 
 
-def factor_general_k(s: mo.Moebius, k: int, seed: int = 0) -> GeneralKFactorization:
+def factor_general_k(s: mo.Moebius, k: int) -> GeneralKFactorization:
     """Factor c*T^(q^k+1) + d*T^(q^k) - a*T - b over F_q.
 
     The polynomial is first factored structurally over F_{q^k}; multiplying
@@ -474,7 +403,7 @@ def factor_general_k(s: mo.Moebius, k: int, seed: int = 0) -> GeneralKFactorizat
         raise SizeCapError(f"{q}^{k} exceeds the size cap")
     input_poly = companion_poly(ctx, s.entries(), k)
     if k == 1:
-        structured = factor_by_orbit(s, seed)
+        structured = factor_by_orbit(s)
         factors = list(structured.removed_linear) + [e.poly for e in structured.factors]
         factors.sort(key=lambda f: f.key())
         return GeneralKFactorization(input_poly, 1, ctx, structured,
@@ -483,7 +412,7 @@ def factor_general_k(s: mo.Moebius, k: int, seed: int = 0) -> GeneralKFactorizat
     ground, hom = _ground_extension(ctx, k)
     entries = tuple(hom(e) for e in s.entries())
     s_ground = mo.Moebius(*entries)
-    inner = factor_by_orbit(s_ground, seed)
+    inner = factor_by_orbit(s_ground)
 
     # invert the embedding on the q-power-fixed coefficients
     back = {hom(v).encode(): v for v in ctx.elements()}

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from orbitfactor import cli
 
 
@@ -95,6 +97,18 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "factor", "--p", "19")
     assert code == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("factor", "--p", "7", "--s", "3x", "--k", "-1"),
+    ("factor", "--p", "7", "--s", "3x", "--k", "0"),
+    ("orbits", "--p", "7", "--gens", "3x", "--ext", "0"),
+    ("orbits", "--p", "7", "--gens", "3x", "--ext", "-1"),
+])
+def test_nonpositive_degree_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
 
 
 def test_unknown_command_exit_code(capsys):

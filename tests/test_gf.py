@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from orbitfactor import gf, upoly
@@ -174,3 +176,23 @@ def test_encode_decode_bijection(F9):
     assert seen == set(range(9))
     for i in range(9):
         assert F9.decode(i).encode() == i
+
+
+def _lexicographic_least_irreducible(ctx, d):
+    # constant term most significant, as in gf.least_irreducible
+    for tail in itertools.product(range(ctx.order), repeat=d):
+        poly = upoly.Poly(ctx, tuple(ctx.decode(c) for c in tail) + (ctx.one(),))
+        if upoly.is_irreducible(poly):
+            return poly
+
+
+@pytest.mark.parametrize("p,m,max_d", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3)])
+def test_least_irreducible_matches_lexicographic_search(p, m, max_d):
+    ctx = gf.field_create(p, m)
+    for d in range(1, max_d + 1):
+        assert gf.least_irreducible(ctx, d) == _lexicographic_least_irreducible(ctx, d)
+
+
+def test_least_irreducible_degree_seven_over_f7(F7):
+    h = gf.least_irreducible(F7, 7)
+    assert h.deg == 7 and h.is_monic() and upoly.is_irreducible(h)

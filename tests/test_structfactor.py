@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orbitfactor import gf, grouporbit as go, invariants as inv, moebius as mo, upoly
 from orbitfactor import structfactor as sf
@@ -34,29 +35,6 @@ def test_companion_identity_is_field_polynomial(F7):
     assert sf.frobenius_companion(s) == upoly.Poly.x_pow(F7, 7) - upoly.Poly.x(F7)
 
 
-def test_connected_centralizer_sizes(F7):
-    q = 7
-    for text, want in (("3x", q - 1), ("x+1", q), ("(3x-1)/(x+3)", q + 1)):
-        s = mo.parse_moebius(F7, text)
-        assert len(sf.connected_centralizer(s)) == want
-
-
-def test_connected_centralizer_commutes(F7):
-    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
-    for u in sf.connected_centralizer(s):
-        assert u.compose(s) == s.compose(u)
-
-
-def test_connected_centralizer_subset_of_brute_force(F5):
-    G = go.full_pgl(F5)
-    for s in list(G)[::17]:
-        if s.is_identity():
-            continue
-        mine = set(sf.connected_centralizer(s))
-        brute = set(go.centralizer(G, s).elements)
-        assert mine <= brute
-
-
 def test_find_s_for_alpha_quadratic_gives_involution(F7):
     G = go.full_pgl(F7)
     ext = gf.extension_of(F7, 2)
@@ -77,7 +55,7 @@ def test_find_s_for_alpha_recovers_witness(F19):
     s = mo.parse_moebius(F19, "(-x-1)/(x-1)")
     res = sf.factor_by_orbit(s)
     G = go.generate(F19, [s])
-    alpha = res.factors[0].source
+    _, alpha = sf.root_extension(F19, res.factors[0].poly)
     assert sf.find_s_for_alpha(G, alpha) == s
 
 
@@ -125,6 +103,23 @@ def test_factor_by_orbit_matches_oracle_everywhere(p, m):
         assert res.as_multiset() == oracle.as_multiset()
         assert res.unit == oracle.unit
         assert res.reconstruct() == res.input
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.sampled_from([(17, 1), (19, 1), (23, 1), (29, 1), (31, 1), (2, 4), (5, 2), (3, 3)]),
+       st.lists(st.integers(min_value=0, max_value=30), min_size=4, max_size=4))
+def test_factor_by_orbit_sweep_matches_oracle(field, entries):
+    ctx = gf.field_create(*field)
+    a, b, c, d = (ctx.decode(v % ctx.order) for v in entries)
+    assume(a * d - b * c)
+    s = mo.Moebius(a, b, c, d)
+    assume(not s.is_identity())
+    res = sf.factor_by_orbit(s)
+    oracle = upoly.factorize(res.input)
+    assert res.unit == oracle.unit
+    assert res.as_multiset() == oracle.as_multiset()
+    for entry in res.factors:
+        assert entry.lam.value == entry.poly.coeffs[res.orbit_poly.param_index]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -283,8 +278,7 @@ def test_solution_counts(F3):
 def test_bootstrap_power_compatibility(F19):
     s = mo.parse_moebius(F19, "(-x-1)/(x-1)")
     res = sf.factor_by_orbit(s)
-    ext = res.root_field
-    alpha = res.factors[0].source
+    ext, alpha = sf.root_extension(F19, res.factors[0].poly)
     s_ext = s.lift_to(ext)
     z = mo.ProjPoint(alpha)
     for i in range(1, 5):
