@@ -1,6 +1,11 @@
 """Conjugacy classes of PGL(2,q), their pairing with invariant values, and
 the twisted-conjugacy (Lang equation) solver.
 
+Classes are keyed by tr^2/det of a matrix pre-image, which scaling and
+conjugation leave unchanged, plus a flag for the identity and, at trace zero
+for odd q, for the square class of -det; one pass over the group builds the
+classes and `class_of` is a key lookup.
+
 Each value of the degree-|G| invariant generator on a regular orbit picks out
 one conjugacy class of elements of order > 2; infinity corresponds to the
 identity class and the value on the quadratic orbit to the involutions, which
@@ -17,7 +22,7 @@ from typing import Union
 from . import gf, grouporbit as go, invariants as inv, moebius as mo
 from . import structfactor as sf
 from . import upoly
-from .errors import InvariantViolation, SizeCapError
+from .errors import CtxMismatchError, InvariantViolation
 
 
 class ClassKind(Enum):
@@ -70,64 +75,76 @@ def _kind_of(s: mo.Moebius, q_odd: bool) -> tuple[ClassKind, int]:
     return ClassKind.NONSPLIT, order
 
 
+def _class_key(s: mo.Moebius) -> tuple[int, bool]:
+    """Conjugacy invariant of s: tr^2/det of a matrix pre-image (encoded) and
+    a refinement flag.
+
+    tr^2/det fixes the class of every non-identity element except at trace
+    zero for odd q, where the flag holds whether -det is a square (split or
+    nonsplit involution).  For the identity the flag is True, which tells it
+    from the unipotent class sharing its value (4, or 0 for even q).
+    """
+    ctx = s.ctx
+    a, b, c, d = s.entries()
+    tr = a + d
+    det = a * d - b * c
+    if s.is_identity():
+        flag = True
+    elif not tr and ctx.p != 2:
+        flag = (-det) ** ((ctx.order - 1) // 2) == ctx.one()
+    else:
+        flag = False
+    return (tr * tr / det).encode(), flag
+
+
 _classes_cache: dict = {}
 
 
-def conjugacy_classes(ctx: gf.FieldCtx) -> tuple[ClassLabel, ...]:
-    """All conjugacy classes, by brute-force partition of PGL(2,q).
-
-    There are q+1 classes for even q and q+2 for odd q; for odd q the
-    involutions split into two classes told apart by where their fixed
-    points live.
-    """
+def _classes_by_key(ctx: gf.FieldCtx) -> tuple[tuple[ClassLabel, ...], dict]:
+    """The sorted class labels and the map from class key to label (cached)."""
     cached = _classes_cache.get(ctx)
     if cached is not None:
         return cached
     G = go.full_pgl(ctx)
     q = ctx.order
     q_odd = ctx.p != 2
-    inverses = {g: g.inverse() for g in G}
-    assigned: set[mo.Moebius] = set()
-    labels = []
-    for s in G.elements:
-        if s in assigned:
-            continue
-        cls = {g.compose(s).compose(inverses[g]) for g in G}
-        assigned.update(cls)
+    reps: dict = {}
+    sizes: dict = {}
+    for s in G.elements:  # sorted by key(), so each class's first is its least
+        k = _class_key(s)
+        reps.setdefault(k, s)
+        sizes[k] = sizes.get(k, 0) + 1
+    by_key = {}
+    for k, s in reps.items():
         kind, order = _kind_of(s, q_odd)
-        centralizer_order = len(G) // len(cls)
-        labels.append(ClassLabel(kind, order, s, len(cls), centralizer_order))
-    labels.sort(key=lambda c: (c.size, c.representative.key()))
+        by_key[k] = ClassLabel(kind, order, s, sizes[k], len(G) // sizes[k])
+    labels = sorted(by_key.values(), key=lambda c: (c.size, c.representative.key()))
     if sum(c.size for c in labels) != q ** 3 - q:
         raise InvariantViolation("class sizes do not sum to the group order")
     expected = q + 2 if q_odd else q + 1
     if len(labels) != expected:
         raise InvariantViolation(f"expected {expected} classes, found {len(labels)}")
-    result = tuple(labels)
-    _classes_cache[ctx] = result
-    return result
+    cached = (tuple(labels), by_key)
+    _classes_cache[ctx] = cached
+    return cached
+
+
+def conjugacy_classes(ctx: gf.FieldCtx) -> tuple[ClassLabel, ...]:
+    """All conjugacy classes, sorted by (size, representative key).
+
+    One pass over PGL(2,q) groups the elements by their class key; each
+    class's representative is its least element by `Moebius.key()`.  There
+    are q+1 classes for even q and q+2 for odd q; for odd q the involutions
+    split into two classes told apart by where their fixed points live.
+    """
+    return _classes_by_key(ctx)[0]
 
 
 def class_of(ctx: gf.FieldCtx, s: mo.Moebius) -> ClassLabel:
-    for label in conjugacy_classes(ctx):
-        if label.size == 1:
-            if label.representative == s:
-                return label
-            continue
-        # cheap invariants first, then the actual conjugacy test
-        if label.order != s.order():
-            continue
-        if _conjugate_in_pgl(ctx, label.representative, s):
-            return label
-    raise InvariantViolation("element matches no conjugacy class")
-
-
-def _conjugate_in_pgl(ctx: gf.FieldCtx, a: mo.Moebius, b: mo.Moebius) -> bool:
-    G = go.full_pgl(ctx)
-    for g in G.elements:
-        if g.compose(a).compose(g.inverse()) == b:
-            return True
-    return False
+    """The conjugacy class of s, by its class key."""
+    if s.ctx != ctx:
+        raise CtxMismatchError(f"{s} is not over {ctx}")
+    return _classes_by_key(ctx)[1][_class_key(s)]
 
 
 _mu_cache: dict = {}
@@ -235,9 +252,8 @@ def lang_solve(s: mo.Moebius) -> LangSolution:
     ctx = s.ctx
     q = ctx.order
     r = s.order()
-    if q ** r > gf.size_cap():
-        raise SizeCapError(f"{q}^{r} exceeds the size cap")
-    ext = gf.extension_of(ctx, r)
+    # no F_{q^r} scan below, so the field size alone need not be capped
+    ext = gf.extension_of(ctx, r, cap=max(gf.size_cap(), q ** r))
     deg = ext.degree  # r, except r == 1 where ext is ctx itself
 
     a, b, c, d = (gf.embed(e, ext) for e in s.entries())
@@ -256,15 +272,7 @@ def lang_solve(s: mo.Moebius) -> LangSolution:
         raise InvariantViolation("s^order is not scalar on matrix pre-images")
     scalar = power[0][0]
 
-    norm_exp = (ext.order - 1) // (q - 1) if q > 1 else 1
-    mu = None
-    for candidate in ext.elements():
-        if candidate and candidate ** norm_exp == scalar:
-            mu = candidate
-            break
-    if mu is None:
-        raise InvariantViolation("no norm preimage for the scalar of s^order")
-    mu_inv = mu.inverse()
+    mu_inv = _norm_preimage(ctx, ext, scalar).inverse()
 
     # F_q-linear fixed-point problem: T = mu^(-1) sigma(T) S over M_2(F_{q^r})
     if ext is ctx:  # r == 1
@@ -349,6 +357,32 @@ def lang_solve(s: mo.Moebius) -> LangSolution:
     if image != set(points):
         raise InvariantViolation("solution set is not the t-image of the rational line")
     return LangSolution(s, t, ext, tuple(points), len(finite))
+
+
+def _norm_preimage(ctx: gf.FieldCtx, ext: gf.FieldCtx, c: gf.FieldElem) -> gf.FieldElem:
+    """mu in ext with norm N(mu) = mu^((|ext|-1)/(q-1)) equal to c in F_q^*.
+
+    mu = g^e, where g is the least nonzero element (in encode order) whose
+    norm generates F_q^* and e is the discrete log of c to base N(g); the
+    norm is onto F_q^*, so g is found after a few candidates, and the log
+    takes at most q-1 steps.
+    """
+    q = ctx.order
+    norm_exp = (ext.order - 1) // (q - 1)
+    cofactors = [(q - 1) // ell for ell in sf.divisors(q - 1) if gf.is_prime(ell)]
+    one = ext.one()
+    for g in ext.elements():
+        if not g:
+            continue
+        base = g ** norm_exp
+        if all(base ** k != one for k in cofactors):
+            break
+    power = one
+    for e in range(q - 1):
+        if power == c:
+            return g ** e
+        power = power * base
+    raise InvariantViolation("no norm preimage for the scalar of s^order")
 
 
 def _kernel_basis(ctx: gf.FieldCtx, matrix: list) -> list:

@@ -1,8 +1,12 @@
+import time
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orbitfactor import classes as cl
 from orbitfactor import gf, grouporbit as go, moebius as mo
 from orbitfactor import structfactor as sf
+from orbitfactor.errors import CtxMismatchError
 
 
 @pytest.mark.parametrize("p,m,count", [(2, 1, 3), (3, 1, 5), (2, 2, 5), (5, 1, 7)])
@@ -40,6 +44,89 @@ def test_class_of_membership(F3):
     for label in labels:
         for g in go.conjugates(go.full_pgl(F3), label.representative):
             assert cl.class_of(F3, g) == label
+
+
+def _brute_force_classes(ctx):
+    """Partition PGL(2,q) by explicit conjugation: the brute-force oracle.
+
+    Kinds come from rational fixed points (2 split, 1 unipotent, 0
+    nonsplit), independently of the eigenvalue classification."""
+    G = go.full_pgl(ctx)
+    assigned = set()
+    labels = []
+    for s in G.elements:
+        if s in assigned:
+            continue
+        cls = go.conjugates(G, s)
+        assigned.update(cls)
+        order = s.order()
+        rational = 0 if s.is_identity() else len(s.fixed_points(1))
+        if s.is_identity():
+            kind = cl.ClassKind.IDENTITY
+        elif rational == 1:
+            kind = cl.ClassKind.UNIPOTENT
+        elif order == 2 and ctx.p != 2:
+            kind = (cl.ClassKind.SPLIT_INVOLUTION if rational == 2
+                    else cl.ClassKind.NONSPLIT_INVOLUTION)
+        else:
+            kind = cl.ClassKind.SPLIT if rational == 2 else cl.ClassKind.NONSPLIT
+        labels.append(cl.ClassLabel(kind, order, s, len(cls), len(G) // len(cls)))
+    labels.sort(key=lambda c: (c.size, c.representative.key()))
+    return tuple(labels)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_classes_match_brute_force_partition(p, m):
+    ctx = gf.field_create(p, m)
+    assert cl.conjugacy_classes(ctx) == _brute_force_classes(ctx)
+
+
+def test_class_of_rejects_other_field(F3, F5):
+    with pytest.raises(CtxMismatchError):
+        cl.class_of(F5, mo.Moebius.identity(F3))
+    with pytest.raises(CtxMismatchError):
+        cl.class_of(F3, mo.parse_moebius(F5, "(x+1)/(x+2)"))
+
+
+_FIELDS_UP_TO_17 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                    (11, 1), (13, 1), (2, 4), (17, 1)]
+
+
+def _moebius_from(ctx, entries):
+    a, b, c, d = (ctx.decode(v % ctx.order) for v in entries)
+    assume(a * d - b * c)
+    return mo.Moebius(a, b, c, d)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(_FIELDS_UP_TO_17),
+       st.lists(st.integers(min_value=0, max_value=16), min_size=4, max_size=4),
+       st.lists(st.integers(min_value=0, max_value=16), min_size=4, max_size=4))
+def test_class_of_is_a_conjugacy_invariant(field, s_entries, g_entries):
+    ctx = gf.field_create(*field)
+    s = _moebius_from(ctx, s_entries)
+    g = _moebius_from(ctx, g_entries)
+    label = cl.class_of(ctx, s)
+    assert cl.class_of(ctx, g.compose(s).compose(g.inverse())) == label
+    assert label.order == s.order()
+    # rational fixed points: 2 split, 1 unipotent, 0 nonsplit
+    rep = label.representative
+    assert rep.is_identity() == s.is_identity()
+    if not s.is_identity():
+        assert len(rep.fixed_points(1)) == len(s.fixed_points(1))
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (17, 1)])
+def test_conjugacy_classes_time_budget(p, m):
+    ctx = gf.field_create(p, m)
+    cl._classes_cache.pop(ctx, None)
+    limit_s = 10.0
+    start = time.perf_counter()
+    labels = cl.conjugacy_classes(ctx)
+    elapsed = time.perf_counter() - start
+    print(f"[conjugacy_classes q={ctx.order}] {elapsed:.2f}s / limit {limit_s:g}s")
+    assert len(labels) == ctx.order + (2 if ctx.p != 2 else 1)
+    assert elapsed < limit_s
 
 
 def test_infinity_maps_to_identity(F3):
@@ -128,6 +215,17 @@ def test_lang_solution_points_are_solutions(F3):
         lhs = s_ext.apply(z)
         rhs = mo.frobenius_point(z) if z.value is not None else mo.INFINITY
         assert lhs == rhs
+
+
+def test_lang_beyond_former_size_cap(F7):
+    # 7^8 exceeds the default field-size cap; no F_{q^r} scan is made
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+    sol = cl.lang_solve(s)
+    q = F7.order
+    assert sol.ext.order == q ** 8
+    sig = mo.Moebius(*(e ** q for e in sol.t.entries()))
+    assert sig.inverse().compose(sol.t) == s.lift_to(sol.ext)
+    assert len(sol.solution_points) == q + 1
 
 
 def test_kernel_basis_solves(F5):

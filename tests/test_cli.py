@@ -57,6 +57,12 @@ def test_lang(capsys):
     assert "verified" in out
 
 
+def test_lang_beyond_former_size_cap(capsys):
+    code, out, _ = run_cli(capsys, "lang", "--p", "7", "--m", "1", "--s", "(3x-1)/(x+3)")
+    assert code == 0
+    assert "over GF(7^8)" in out and "verified" in out
+
+
 def test_orbits(capsys):
     code, out, _ = run_cli(capsys, "orbits", "--p", "7", "--m", "1",
                            "--gens", "(3x-1)/(x+3)", "--ext", "1")
