@@ -281,7 +281,7 @@ def lang_solve(s: mo.Moebius) -> LangSolution:
         coords = lambda v: (v,)
     else:
         basis_elems = [ext.from_coeffs([0] * i + [1]) for i in range(deg)]
-        coords = lambda v: v.rep
+        coords = lambda v: v.coeffs()
     unknowns = []
     for pos in range(4):
         for be in basis_elems:

@@ -3,7 +3,13 @@
 A field is either a prime field or a quotient base[y]/(h) for a monic
 irreducible h over the base.  Towers are at most prime -> F_q -> F_{q^k};
 this covers a ground field plus the one extension needed to host roots.
-All values are immutable and safe to share.
+
+Every element is an encoded int: a residue mod p, or sum(c_i * |base|^i)
+over the encodings c_i of its coordinates over the base.  A field of at most
+256 elements answers add, mul, neg and inv from tables built with the field
+from the discrete logs of a primitive element; a larger field computes, on
+residues mod p or on coordinate vectors reduced by the modulus, with inverses
+by the extended Euclidean algorithm.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -25,8 +31,10 @@ _ENV_CAP = "ORBITFACTOR_SIZE_CAP"
 
 # contexts small enough to keep a full table of element objects
 _ELEM_CACHE_LIMIT = 4096
-# extension fields small enough for full arithmetic lookup tables
+# fields small enough for full arithmetic lookup tables
 _TABLE_LIMIT = 256
+# contexts memoized by extend, oldest evicted first
+_EXTEND_CACHE_LIMIT = 64
 
 
 def size_cap() -> int:
@@ -55,6 +63,11 @@ def is_prime(n: int) -> bool:
 class FieldCtx:
     """A finite field: F_p, or base[y]/(h) with h monic irreducible.
 
+    Elements are encoded ints (see :meth:`FieldElem.encode`), and the context
+    owns ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` on them, plus
+    ``addmul(ys, a, xs)``, the list ``ys + a*xs`` taken elementwise.  Fields
+    of at most 256 elements answer from lookup tables; larger ones compute.
+
     Do not call the constructor directly; use :func:`prime_field`,
     :func:`field_create` or :func:`extend` so contexts are validated,
     cached and shared.
@@ -66,13 +79,16 @@ class FieldCtx:
         "degree",
         "order",
         "_mod",
-        "_red_rows",
         "_elems",
         "_hash",
-        "_ext_cache",
         "_irr_cache",
         "_tables",
-        "_red_enc",
+        "add",
+        "sub",
+        "neg",
+        "mul",
+        "inv",
+        "addmul",
     )
 
     def __init__(self, p: int, base: Optional["FieldCtx"], mod: Optional[tuple]):
@@ -82,37 +98,25 @@ class FieldCtx:
             self.degree = 1
             self.order = p
             self._mod = None
-            self._red_rows = None
+            ops = _residue_ops(p)
         else:
             assert mod is not None and len(mod) >= 3
             self.degree = len(mod) - 1
             self.order = base.order ** self.degree
             self._mod = mod
-            self._red_rows = self._reduction_rows(mod)
+            ops = _vector_ops(base, tuple(c.rep for c in mod))
+        self.add, self.sub, self.neg, self.mul, self.inv, self.addmul = ops
+        self._tables = None
+        if self.order <= _TABLE_LIMIT:
+            self._tables = _log_tables(self.order, self.add, self.neg, self.mul)
+            self.add, self.sub, self.neg, self.mul, self.inv, self.addmul = \
+                _table_ops(self._tables)
         self._elems = None
         if self.order <= _ELEM_CACHE_LIMIT:
-            self._elems = tuple(self._decode_uncached(i) for i in range(self.order))
+            self._elems = tuple(FieldElem(self, i) for i in range(self.order))
         self._hash = hash((p, self.degree, None if base is None else hash(base),
                            None if mod is None else tuple(c.encode() for c in mod)))
-        self._ext_cache: dict = {}
         self._irr_cache: dict = {}
-        self._tables = None
-        self._red_enc = None
-
-    @staticmethod
-    def _reduction_rows(mod: tuple) -> tuple:
-        # rows[j] = coordinate vector of y^(k+j) modulo the modulus
-        k = len(mod) - 1
-        base_ctx = mod[0].ctx
-        neg_tail = tuple(-c for c in mod[:k])
-        rows = [neg_tail]
-        zero = base_ctx.zero()
-        for _ in range(k - 2):
-            prev = rows[-1]
-            shifted = (zero,) + prev[: k - 1]
-            top = prev[k - 1]
-            rows.append(tuple(shifted[i] + top * neg_tail[i] for i in range(k)))
-        return tuple(rows)
 
     # -- identity / comparison ------------------------------------------------
 
@@ -169,9 +173,7 @@ class FieldCtx:
         if isinstance(value, FieldElem):
             return embed(value, self)
         if isinstance(value, int):
-            if self.base is None:
-                return self.decode(value % self.p)
-            return embed(prime_field(self.p).decode(value % self.p), self)
+            return self.decode(value % self.p)
         return self.from_coeffs(value)
 
     def from_coeffs(self, coords: Sequence) -> "FieldElem":
@@ -181,9 +183,7 @@ class FieldCtx:
         if len(coords) > self.degree:
             raise CtxMismatchError(
                 f"coordinate vector of length {len(coords)} in degree-{self.degree} extension")
-        cs = [self.base.elem(c) for c in coords]
-        cs.extend(self.base.zero() for _ in range(self.degree - len(cs)))
-        return FieldElem(self, tuple(cs))
+        return self.decode(_number([self.base.elem(c).rep for c in coords], self.base.order))
 
     def gen(self) -> "FieldElem":
         """The distinguished root of the modulus (the residue of y)."""
@@ -193,53 +193,31 @@ class FieldCtx:
 
     # -- enumeration ----------------------------------------------------------
 
-    def _decode_uncached(self, i: int) -> "FieldElem":
-        if self.base is None:
-            return FieldElem(self, i)
-        b = self.base.order
-        coords = []
-        for _ in range(self.degree):
-            coords.append(self.base.decode(i % b))
-            i //= b
-        return FieldElem(self, tuple(coords))
-
     def decode(self, i: int) -> "FieldElem":
         """Inverse of FieldElem.encode; index runs over 0..order-1."""
-        if self._elems is not None:
-            return self._elems[i]
-        return self._decode_uncached(i)
+        elems = self._elems
+        return elems[i] if elems is not None else FieldElem(self, i)
 
     def elements(self) -> Iterator["FieldElem"]:
         """All elements in canonical (encoded) order."""
         if self._elems is not None:
             return iter(self._elems)
-        return (self._decode_uncached(i) for i in range(self.order))
+        return (FieldElem(self, i) for i in range(self.order))
 
     def tables(self):
-        """(add, mul, neg, inv) lookup tables on encoded values, for small
-        extension fields; None when the field is too large to tabulate."""
-        if self.order > _TABLE_LIMIT or self.base is None:
-            return None
-        if self._tables is None:
-            elems = self._elems
-            n = self.order
-            add = [[(a + b).encode() for b in elems] for a in elems]
-            mul = [[(a * b).encode() for b in elems] for a in elems]
-            neg = [(-a).encode() for a in elems]
-            inv = [0] + [elems[i].inverse().encode() for i in range(1, n)]
-            self._tables = (add, mul, neg, inv)
+        """(add, mul, neg, inv) lookup tables on encoded values, built with the
+        field; None when the field has more than 256 elements."""
         return self._tables
 
 
 class FieldElem:
-    """An element of a FieldCtx: an int residue, or a coordinate tuple."""
+    """An element of a FieldCtx, held as its encoded int ``rep``."""
 
-    __slots__ = ("ctx", "rep", "_enc")
+    __slots__ = ("ctx", "rep")
 
-    def __init__(self, ctx: FieldCtx, rep):
+    def __init__(self, ctx: FieldCtx, rep: int):
         self.ctx = ctx
         self.rep = rep
-        self._enc = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -251,31 +229,26 @@ class FieldElem:
         return self.rep == other.rep
 
     def __hash__(self) -> int:
-        return hash((self.ctx._hash, self.encode()))
+        return hash((self.ctx._hash, self.rep))
 
     def __bool__(self) -> bool:
-        if self.ctx.base is None:
-            return self.rep != 0
-        return any(self.rep)
+        return self.rep != 0
 
     def encode(self) -> int:
-        """Canonical integer index of this element (0 is zero, 1 is one)."""
-        if self._enc is None:
-            if self.ctx.base is None:
-                self._enc = self.rep
-            else:
-                b = self.ctx.base.order
-                out = 0
-                for c in reversed(self.rep):
-                    out = out * b + c.encode()
-                self._enc = out
-        return self._enc
+        """Canonical integer index of this element (0 is zero, 1 is one).
+
+        A prime-field element is its residue; an extension element is
+        sum(c_i * |base|^i) over the encodings c_i of its coordinates, so an
+        element keeps its index in every field above it.
+        """
+        return self.rep
 
     def coeffs(self) -> tuple:
         """Little-endian coordinate vector over the base field."""
-        if self.ctx.base is None:
+        ctx = self.ctx
+        if ctx.base is None:
             return (self.rep,)
-        return self.rep
+        return tuple(map(ctx.base.decode, _digits(self.rep, ctx.base.order, ctx.degree)))
 
     def __repr__(self) -> str:
         return format_elem(self)
@@ -295,25 +268,19 @@ class FieldElem:
         ctx = self.ctx
         if not (isinstance(other, FieldElem) and other.ctx is ctx):
             other = self._coerce(other)
-        if ctx.base is None:
-            return FieldElem(ctx, (self.rep + other.rep) % ctx.p)
-        return FieldElem(ctx, tuple(a + b for a, b in zip(self.rep, other.rep)))
+        return ctx.decode(ctx.add(self.rep, other.rep))
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElem":
         ctx = self.ctx
-        if ctx.base is None:
-            return FieldElem(ctx, (-self.rep) % ctx.p)
-        return FieldElem(ctx, tuple(-a for a in self.rep))
+        return ctx.decode(ctx.neg(self.rep))
 
     def __sub__(self, other) -> "FieldElem":
         ctx = self.ctx
         if not (isinstance(other, FieldElem) and other.ctx is ctx):
             other = self._coerce(other)
-        if ctx.base is None:
-            return FieldElem(ctx, (self.rep - other.rep) % ctx.p)
-        return FieldElem(ctx, tuple(a - b for a, b in zip(self.rep, other.rep)))
+        return ctx.decode(ctx.sub(self.rep, other.rep))
 
     def __rsub__(self, other) -> "FieldElem":
         return (-self) + other
@@ -322,19 +289,15 @@ class FieldElem:
         ctx = self.ctx
         if not (isinstance(other, FieldElem) and other.ctx is ctx):
             other = self._coerce(other)
-        if ctx.base is None:
-            return FieldElem(ctx, (self.rep * other.rep) % ctx.p)
-        return FieldElem(ctx, _tuple_mul(ctx, self.rep, other.rep))
+        return ctx.decode(ctx.mul(self.rep, other.rep))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        if not self:
+        if not self.rep:
             raise ZeroDivisionError("inverse of zero")
         ctx = self.ctx
-        if ctx.base is None:
-            return FieldElem(ctx, pow(self.rep, ctx.p - 2, ctx.p))
-        return FieldElem(ctx, _tuple_inv(ctx, self.rep))
+        return ctx.decode(ctx.inv(self.rep))
 
     def __truediv__(self, other) -> "FieldElem":
         other = self._coerce(other)
@@ -344,207 +307,215 @@ class FieldElem:
         return self.inverse() * other
 
     def __pow__(self, e: int) -> "FieldElem":
-        ctx = self.ctx
-        if e < 0 and not self:
-            raise ZeroDivisionError("inverse of zero")
-        if ctx.base is None:
-            return FieldElem(ctx, pow(self.rep, e, ctx.p))
         if e < 0:
             return self.inverse() ** (-e)
-        result = ctx.one()
-        square = self
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        ctx = self.ctx
+        if ctx.base is None:
+            return ctx.decode(pow(self.rep, e, ctx.p))
+        return ctx.decode(_power(ctx.mul, self.rep, e))
 
 
-# -- low-level tuple arithmetic for extension contexts ------------------------
+# -- arithmetic on encodings ---------------------------------------------------
 
 
-def _red_rows_enc(ctx: FieldCtx) -> tuple:
-    if ctx._red_enc is None:
-        ctx._red_enc = tuple(tuple(c.encode() for c in row) for row in ctx._red_rows)
-    return ctx._red_enc
+def _digits(x: int, b: int, k: int) -> list:
+    """The k base-b digits of x, least significant first."""
+    out = []
+    for _ in range(k):
+        x, d = divmod(x, b)
+        out.append(d)
+    return out
 
 
-def _tuple_mul(ctx: FieldCtx, a: tuple, b: tuple) -> tuple:
-    k = ctx.degree
-    base = ctx.base
+def _number(digits: Sequence[int], b: int) -> int:
+    """Inverse of _digits."""
+    x = 0
+    for d in reversed(digits):
+        x = x * b + d
+    return x
+
+
+def _power(mul, x: int, e: int) -> int:
+    """x^e by square-and-multiply with the given multiplication."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
+def _residue_ops(p: int) -> tuple:
+    """(add, sub, neg, mul, inv, addmul) on residues mod p."""
+
+    def addmul(ys, a, xs):
+        return [(y + a * x) % p for x, y in zip(xs, ys)]
+
+    return (lambda x, y: (x + y) % p, lambda x, y: (x - y) % p, lambda x: -x % p,
+            lambda x, y: x * y % p, lambda x: pow(x, p - 2, p), addmul)
+
+
+def _vector_ops(base: FieldCtx, mod: tuple) -> tuple:
+    """(add, sub, neg, mul, inv, addmul) on encodings of base[y]/(mod),
+    computed on coordinate vectors over the base; mod holds the encoded
+    coefficients."""
+    k = len(mod) - 1
+    b = base.order
+    badd, bsub, bneg, bmul, binv, baddmul = (base.add, base.sub, base.neg, base.mul,
+                                             base.inv, base.addmul)
+    if _TABLE_LIMIT < b ** k <= _ELEM_CACHE_LIMIT:
+        # an untabulated field keeps these ops, and each splits its operands:
+        # list the splits once
+        digits = [tuple(_digits(x, b, k)) for x in range(b ** k)].__getitem__
+    else:
+        def digits(x):
+            return _digits(x, b, k)
+    # rows[j] = coordinate vector of y^(k+j) modulo mod
+    rows = [[bneg(c) for c in mod[:k]]]
+    for _ in range(k - 2):
+        prev = rows[-1]
+        rows.append(baddmul([0] + prev[:-1], prev[-1], rows[0]))
+
+    def add(x, y):
+        return _number(list(map(badd, digits(x), digits(y))), b)
+
+    def sub(x, y):
+        return _number(list(map(bsub, digits(x), digits(y))), b)
+
+    def neg(x):
+        return _number(list(map(bneg, digits(x))), b)
+
     if base.base is None:
-        # coordinates are prime-field residues; convolve as plain integers
-        p = base.p
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            ar = ai.rep
-            if ar:
-                for j, bj in enumerate(b):
-                    br = bj.rep
-                    if br:
-                        conv[i + j] += ar * br
-        out = conv[:k]
-        rows = _red_rows_enc(ctx)
-        for j in range(k - 1):
-            top = conv[k + j] % p
-            if top:
-                row = rows[j]
-                for i in range(k):
-                    out[i] += top * row[i]
-        dec = base.decode
-        return tuple(dec(v % p) for v in out)
-    tables = base.tables()
-    if tables is not None:
-        add_t, mul_t = tables[0], tables[1]
-        conv = [0] * (2 * k - 1)
-        ae = [c.encode() for c in a]
-        be = [c.encode() for c in b]
-        for i, ai in enumerate(ae):
-            if ai:
-                row = mul_t[ai]
-                for j, bj in enumerate(be):
-                    if bj:
-                        conv[i + j] = add_t[conv[i + j]][row[bj]]
-        out = conv[:k]
-        rows = _red_rows_enc(ctx)
-        for j in range(k - 1):
-            top = conv[k + j]
-            if top:
-                row_m = mul_t[top]
-                red = rows[j]
-                for i in range(k):
-                    if red[i]:
-                        out[i] = add_t[out[i]][row_m[red[i]]]
-        dec = base.decode
-        return tuple(dec(v) for v in out)
-    zero = base.zero()
-    conv = [zero] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] = conv[i + j] + ai * bj
-    out = conv[:k]
-    rows = ctx._red_rows
-    for j in range(k - 1):
-        top = conv[k + j]
-        if top:
-            row = rows[j]
-            for i in range(k):
-                out[i] = out[i] + top * row[i]
-    return tuple(out)
+        p = b
 
+        def mul(x, y):
+            # coordinates are residues: convolve as plain ints, reduce once
+            if not x or not y:
+                return 0
+            ys = digits(y)
+            conv = [0] * (2 * k - 1)
+            for i, xi in enumerate(digits(x)):
+                if xi:
+                    for j, yj in enumerate(ys, i):
+                        conv[j] += xi * yj
+            out = conv[:k]
+            for top, row in zip(conv[k:], rows):
+                top %= p
+                if top:
+                    for i, r in enumerate(row):
+                        out[i] += top * r
+            return _number([o % p for o in out], b)
+    else:
+        def mul(x, y):
+            if not x or not y:
+                return 0
+            ys = digits(y)
+            conv = [0] * (2 * k - 1)
+            for i, xi in enumerate(digits(x)):
+                if xi:
+                    conv[i:i + k] = baddmul(conv[i:i + k], xi, ys)
+            out = conv[:k]
+            for top, row in zip(conv[k:], rows):
+                if top:
+                    out = baddmul(out, top, row)
+            return _number(out, b)
 
-def _base_ops(base: FieldCtx):
-    """(add, sub, mul, inv) on encoded values of the base field."""
-    if base.base is None:
-        p = base.p
-        return (lambda x, y: (x + y) % p, lambda x, y: (x - y) % p,
-                lambda x, y: (x * y) % p, lambda x: pow(x, p - 2, p))
-    tables = base.tables()
-    if tables is not None:
-        add_t, mul_t, neg_t, inv_t = tables
-        return (lambda x, y: add_t[x][y], lambda x, y: add_t[x][neg_t[y]],
-                lambda x, y: mul_t[x][y], lambda x: inv_t[x])
-    return None
-
-
-def _tuple_inv(ctx: FieldCtx, a: tuple) -> tuple:
-    # extended Euclid in base[y] against the modulus
-    base = ctx.base
-    ops = _base_ops(base)
-    if ops is not None:
-        add, sub, mul, inv = ops
-        dec = base.decode
-
-        def trim(v):
-            n = len(v)
-            while n and not v[n - 1]:
-                n -= 1
-            return v[:n]
-
-        def divmod_lists(num, den):
-            num = num[:]
-            dl = len(den)
-            inv_lead = inv(den[-1])
-            q = [0] * max(0, len(num) - dl + 1)
-            for i in range(len(num) - dl, -1, -1):
-                c = mul(num[i + dl - 1], inv_lead)
-                if c:
-                    q[i] = c
-                    for j, dj in enumerate(den):
-                        if dj:
-                            num[i + j] = sub(num[i + j], mul(c, dj))
-            return q, trim(num)
-
-        r0 = [c.encode() for c in ctx._mod]
-        r1 = trim([c.encode() for c in a])
-        s0, s1 = [], [1]
-        while r1:
-            q, r = divmod_lists(r0, r1)
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        if sj:
-                            qs[i + j] = add(qs[i + j], mul(qi, sj))
-            ln = max(len(s0), len(qs))
-            s_next = [sub(s0[i] if i < len(s0) else 0, qs[i] if i < len(qs) else 0)
-                      for i in range(ln)]
-            r0, r1 = r1, r
-            s0, s1 = s1, trim(s_next)
-        scale = inv(r0[-1])
-        out = [mul(c, scale) for c in s0]
-        out.extend(0 for _ in range(ctx.degree - len(out)))
-        return tuple(dec(v) for v in out[: ctx.degree])
-
-    zero, one = base.zero(), base.one()
-
-    def trim_e(v):
+    def trim(v):
         n = len(v)
         while n and not v[n - 1]:
             n -= 1
-        return v[:n]
+        return list(v[:n])
 
-    def divmod_elems(num, den):
-        num = num[:]
-        dl = len(den)
-        inv_lead = den[-1].inverse()
-        q = [zero] * max(0, len(num) - dl + 1)
-        for i in range(len(num) - dl, -1, -1):
-            c = num[i + dl - 1] * inv_lead
-            if c:
-                q[i] = c
-                for j, dj in enumerate(den):
-                    num[i + j] = num[i + j] - c * dj
-        return q, trim_e(num)
+    def inv(x):
+        # extended Euclid in base[y] against the modulus
+        r0, r1 = list(mod), trim(digits(x))
+        s0, s1 = [], [1]
+        while r1:
+            # (q, r0) = divmod(r0, r1)
+            n = len(r1)
+            q = [0] * (len(r0) - n + 1)
+            inv_lead = binv(r1[-1])
+            for i in range(len(q) - 1, -1, -1):
+                c = bmul(r0[i + n - 1], inv_lead)
+                if c:
+                    q[i] = c
+                    r0[i:i + n] = baddmul(r0[i:i + n], bneg(c), r1)
+            r0 = trim(r0)
+            # s_next = s0 - q * s1
+            s_next = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+            for i, qi in enumerate(q):
+                if qi:
+                    s_next[i:i + len(s1)] = baddmul(s_next[i:i + len(s1)], bneg(qi), s1)
+            r0, r1 = r1, r0
+            s0, s1 = s1, trim(s_next)
+        scale = binv(r0[-1])
+        return _number([bmul(c, scale) for c in s0], b)
 
-    r0 = list(ctx._mod)
-    r1 = trim_e(list(a))
-    s0, s1 = [], [one]
-    while r1:
-        q, r = divmod_elems(r0, r1)
-        qs = [zero] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs[i + j] = qs[i + j] + qi * sj
-        ln = max(len(s0), len(qs))
-        s_next = [(s0[i] if i < len(s0) else zero) - (qs[i] if i < len(qs) else zero)
-                  for i in range(ln)]
-        r0, r1 = r1, r
-        s0, s1 = s1, trim_e(s_next)
-    scale = r0[-1].inverse()
-    s0 = [c * scale for c in s0]
-    s0.extend(zero for _ in range(ctx.degree - len(s0)))
-    return tuple(s0[: ctx.degree])
+    def addmul(ys, a, xs):
+        return [add(y, mul(a, x)) if x else y for x, y in zip(xs, ys)]
+
+    return add, sub, neg, mul, inv, addmul
+
+
+def _primitive_element(order: int, mul) -> int:
+    """The least encoding that generates the multiplicative group."""
+    n = order - 1
+    primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    for g in range(1, order):
+        if all(_power(mul, g, n // r) != 1 for r in primes):
+            return g
+    raise AssertionError("unreachable: the multiplicative group is cyclic")
+
+
+def _log_tables(order: int, add, neg, mul) -> tuple:
+    """(add, mul, neg, inv) tables from discrete logs to a primitive g.
+
+    g^i * g^j = g^(i+j) and g^i + g^j = g^i * (1 + g^(j-i)), so only the
+    powers of g and the sums 1 + g^k come from the computed field: O(order)
+    field operations instead of O(order^2).
+    """
+    n = order - 1
+    g = _primitive_element(order, mul)
+    exp = [1] * n
+    for i in range(1, n):
+        exp[i] = mul(exp[i - 1], g)
+    log = [0] * order
+    for i, x in enumerate(exp):
+        log[x] = i
+    logs = log[1:]
+    exp2 = exp + exp
+    # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0; zech[l - i] wraps mod n
+    zech = [log[s] if (s := add(1, x)) else -1 for x in exp]
+    add_t = [list(range(order))] + [None] * n
+    mul_t = [[0] * order] + [None] * n
+    for i, a in enumerate(exp):
+        mul_t[a] = [0] + [exp2[i + l] for l in logs]
+        add_t[a] = [a] + [exp2[i + z] if (z := zech[l - i]) >= 0 else 0 for l in logs]
+    neg_t = [neg(x) for x in range(order)]
+    inv_t = [0] + [exp2[n - l] for l in logs]
+    return add_t, mul_t, neg_t, inv_t
+
+
+def _table_ops(tables: tuple) -> tuple:
+    """(add, sub, neg, mul, inv, addmul) as lookups in (add, mul, neg, inv)
+    tables."""
+    add_t, mul_t, neg_t, inv_t = tables
+
+    def addmul(ys, a, xs):
+        row = mul_t[a]
+        return [add_t[y][row[x]] for x, y in zip(xs, ys)]
+
+    return (lambda x, y: add_t[x][y], lambda x, y: add_t[x][neg_t[y]], neg_t.__getitem__,
+            lambda x, y: mul_t[x][y], inv_t.__getitem__, addmul)
 
 
 # -- context constructors ------------------------------------------------------
 
 _prime_cache: dict = {}
 _create_cache: dict = {}
+_extend_cache: dict = {}
 
 
 def prime_field(p: int) -> FieldCtx:
@@ -584,7 +555,10 @@ def field_create(p: int, m: int, cap: Optional[int] = None) -> FieldCtx:
 
 
 def extend(base: FieldCtx, h, cap: Optional[int] = None) -> FieldCtx:
-    """base[y]/(h) for h monic irreducible over base; degree 1 returns base."""
+    """base[y]/(h) for h monic irreducible over base; degree 1 returns base.
+
+    Memoized on h (which carries its base field): one context per modulus.
+    """
     from . import upoly
 
     if not isinstance(h, upoly.Poly) or h.ctx != base:
@@ -593,25 +567,27 @@ def extend(base: FieldCtx, h, cap: Optional[int] = None) -> FieldCtx:
         return base  # degree-1 extension is the base itself
     if base.base is not None and base.base.base is not None:
         raise TowerDepthError("towers deeper than prime -> F_q -> F_{q^k} are not supported")
-    if not h.is_monic():
-        raise NotIrreducibleError("modulus must be monic")
-    if not upoly.is_irreducible(h):
-        raise NotIrreducibleError(f"modulus {h} is reducible over {base}")
     limit = size_cap() if cap is None else cap
     if base.order ** h.deg > limit:
         raise SizeCapError(f"|{base}|^{h.deg} exceeds the size cap {limit}")
-    return FieldCtx(base.p, base, tuple(h.coeffs))
+    ctx = _extend_cache.get(h)
+    if ctx is None:
+        if not h.is_monic():
+            raise NotIrreducibleError("modulus must be monic")
+        if not upoly.is_irreducible(h):
+            raise NotIrreducibleError(f"modulus {h} is reducible over {base}")
+        ctx = FieldCtx(base.p, base, tuple(h.coeffs))
+        if len(_extend_cache) >= _EXTEND_CACHE_LIMIT:
+            del _extend_cache[next(iter(_extend_cache))]  # the oldest entry
+        _extend_cache[h] = ctx
+    return ctx
 
 
 def extension_of(ctx: FieldCtx, k: int, cap: Optional[int] = None) -> FieldCtx:
-    """The canonical degree-k extension of ctx (cached per ctx)."""
+    """The canonical degree-k extension of ctx (memoized through extend)."""
     if k == 1:
         return ctx
-    cached = ctx._ext_cache.get(k)
-    if cached is None:
-        cached = extend(ctx, least_irreducible(ctx, k), cap=cap)
-        ctx._ext_cache[k] = cached
-    return cached
+    return extend(ctx, least_irreducible(ctx, k), cap=cap)
 
 
 def least_irreducible(ctx: FieldCtx, d: int):
@@ -651,25 +627,21 @@ def is_subctx(sub: FieldCtx, sup: FieldCtx) -> bool:
 
 
 def embed(x: FieldElem, ctx: FieldCtx) -> FieldElem:
-    """Map x into ctx along the base chain."""
+    """Map x into ctx along the base chain; x keeps its encoding."""
     if x.ctx is ctx or x.ctx == ctx:
         return x
-    if ctx.base is None:
+    if not is_subctx(x.ctx, ctx):
         raise CtxMismatchError(f"{x.ctx} does not embed into {ctx}")
-    inner = embed(x, ctx.base)
-    coords = (inner,) + tuple(ctx.base.zero() for _ in range(ctx.degree - 1))
-    return FieldElem(ctx, coords)
+    return ctx.decode(x.rep)
 
 
 def down_cast(x: FieldElem, sub: FieldCtx) -> FieldElem:
     """Inverse of embed; raises CtxMismatchError if x is not in the subfield."""
     if x.ctx is sub or x.ctx == sub:
         return x
-    if x.ctx.base is None:
+    if not is_subctx(sub, x.ctx) or x.rep >= sub.order:
         raise CtxMismatchError(f"{x} does not lie in {sub}")
-    if any(x.rep[1:]):
-        raise CtxMismatchError(f"{x} does not lie in {sub}")
-    return down_cast(x.rep[0], sub)
+    return sub.decode(x.rep)
 
 
 def in_subfield(x: FieldElem, sub: FieldCtx) -> bool:
@@ -732,7 +704,7 @@ def format_elem(x: FieldElem) -> str:
     """Prime-field residues print as integers, others as "[c0,c1,...]"."""
     if x.ctx.base is None:
         return str(x.rep)
-    return "[" + ",".join(format_elem(c) for c in x.rep) + "]"
+    return "[" + ",".join(format_elem(c) for c in x.coeffs()) + "]"
 
 
 def parse_elem(ctx: FieldCtx, text: str) -> FieldElem:

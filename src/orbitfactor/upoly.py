@@ -141,22 +141,12 @@ class Poly:
         if not a or not b:
             return Poly.zero(self.ctx)
         ctx = self.ctx
-        if ctx.base is None:
-            p = ctx.p
-            ar = [c.rep for c in a]
-            br = [c.rep for c in b]
-            out = [0] * (len(ar) + len(br) - 1)
-            for i, ai in enumerate(ar):
-                if ai:
-                    for j, bj in enumerate(br):
-                        out[i + j] += ai * bj
-            return Poly(ctx, tuple(ctx.decode(c % p) for c in out))
+        ar = [c.rep for c in a]
+        br = [c.rep for c in b]
+        out = [0] * (len(ar) + len(br) - 1)
         tables = ctx.tables()
         if tables is not None:
             add_t, mul_t = tables[0], tables[1]
-            ar = [c.encode() for c in a]
-            br = [c.encode() for c in b]
-            out = [0] * (len(ar) + len(br) - 1)
             for i, ai in enumerate(ar):
                 if ai:
                     row = mul_t[ai]
@@ -164,15 +154,12 @@ class Poly:
                         if bj:
                             k = i + j
                             out[k] = add_t[out[k]][row[bj]]
-            decode = ctx.decode
-            return Poly(ctx, tuple(decode(c) for c in out))
-        zero = ctx.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        return Poly(ctx, out)
+        else:
+            addmul, n = ctx.addmul, len(br)
+            for i, ai in enumerate(ar):
+                if ai:
+                    out[i:i + n] = addmul(out[i:i + n], ai, br)
+        return Poly(ctx, [ctx.decode(c) for c in out])
 
     __rmul__ = __mul__
 
@@ -181,59 +168,35 @@ class Poly:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         ctx = self.ctx
-        if ctx.base is None:
-            p = ctx.p
-            num = [c.rep for c in self.coeffs]
-            den = [c.rep for c in other.coeffs]
-            dl = len(den)
-            if len(num) < dl:
-                return Poly.zero(ctx), self
-            inv_lead = pow(den[-1], p - 2, p)
-            q = [0] * (len(num) - dl + 1)
-            for i in range(len(num) - dl, -1, -1):
-                c = (num[i + dl - 1] * inv_lead) % p
-                if c:
-                    q[i] = c
-                    for j, dj in enumerate(den):
-                        num[i + j] = (num[i + j] - c * dj) % p
-            return (Poly(ctx, tuple(ctx.decode(c) for c in q)),
-                    Poly(ctx, tuple(ctx.decode(c) for c in num[: dl - 1])))
+        num = [c.rep for c in self.coeffs]
+        den = [c.rep for c in other.coeffs]
+        dl = len(den)
+        if len(num) < dl:
+            return Poly.zero(ctx), self
+        q = [0] * (len(num) - dl + 1)
+        # num[i + j] += (-c) * den[j] for each quotient coefficient c
         tables = ctx.tables()
         if tables is not None:
             add_t, mul_t, neg_t, inv_t = tables
-            num = [c.encode() for c in self.coeffs]
-            den = [c.encode() for c in other.coeffs]
-            dl = len(den)
-            if len(num) < dl:
-                return Poly.zero(ctx), self
             inv_lead = inv_t[den[-1]]
-            q = [0] * (len(num) - dl + 1)
             for i in range(len(num) - dl, -1, -1):
                 c = mul_t[num[i + dl - 1]][inv_lead]
                 if c:
                     q[i] = c
-                    row = mul_t[c]
+                    row = mul_t[neg_t[c]]
                     for j, dj in enumerate(den):
                         if dj:
-                            num[i + j] = add_t[num[i + j]][neg_t[row[dj]]]
-            decode = ctx.decode
-            return (Poly(ctx, tuple(decode(c) for c in q)),
-                    Poly(ctx, tuple(decode(c) for c in num[: dl - 1])))
-        zero = ctx.zero()
-        num = list(self.coeffs)
-        den = other.coeffs
-        dl = len(den)
-        if len(num) < dl:
-            return Poly.zero(ctx), self
-        inv_lead = den[-1].inverse()
-        q = [zero] * (len(num) - dl + 1)
-        for i in range(len(num) - dl, -1, -1):
-            c = num[i + dl - 1] * inv_lead
-            if c:
-                q[i] = c
-                for j, dj in enumerate(den):
-                    num[i + j] = num[i + j] - c * dj
-        return Poly(ctx, q), Poly(ctx, num[: dl - 1])
+                            num[i + j] = add_t[num[i + j]][row[dj]]
+        else:
+            inv_lead = ctx.inv(den[-1])
+            for i in range(len(num) - dl, -1, -1):
+                c = ctx.mul(num[i + dl - 1], inv_lead)
+                if c:
+                    q[i] = c
+                    num[i:i + dl] = ctx.addmul(num[i:i + dl], ctx.neg(c), den)
+        decode = ctx.decode
+        return (Poly(ctx, [decode(c) for c in q]),
+                Poly(ctx, [decode(c) for c in num[: dl - 1]]))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]

@@ -1,0 +1,175 @@
+"""Field arithmetic on both sides of the 256-element table limit.
+
+Every field is checked against an independent reference: prime fields
+against Python ints mod p, extension fields against polynomial arithmetic
+over the base modulo the defining polynomial.
+"""
+
+import random
+
+import pytest
+
+from orbitfactor import gf, upoly
+from orbitfactor.errors import CtxMismatchError, SizeCapError
+
+
+def _tower_16():
+    F4 = gf.field_create(2, 2)
+    return gf.extend(F4, gf.least_irreducible(F4, 2))
+
+
+TABULATED = {
+    "F13": lambda: gf.prime_field(13),
+    "F251": lambda: gf.prime_field(251),
+    "F169": lambda: gf.field_create(13, 2),
+    "F256": lambda: gf.field_create(2, 8),
+    "F4^2": _tower_16,
+}
+COMPUTED = {
+    "F257": lambda: gf.prime_field(257),
+    "F289": lambda: gf.field_create(17, 2),
+    "F512": lambda: gf.field_create(2, 9),
+    "F4^5": lambda: gf.extension_of(gf.field_create(2, 2), 5),
+    "F289^2": lambda: gf.extension_of(gf.field_create(17, 2), 2),
+}
+FIELDS = {**TABULATED, **COMPUTED}
+
+
+def _sample(ctx, n=24, seed=0):
+    rng = random.Random(f"{ctx}/{seed}")
+    picks = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(n)]
+    return [ctx.decode(i) for i in picks]
+
+
+def _as_poly(x):
+    return upoly.Poly(x.ctx.base, x.coeffs())
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_tables_exactly_up_to_256(name):
+    ctx = FIELDS[name]()
+    assert (ctx.tables() is None) == (ctx.order > 256)
+    assert (ctx.tables() is None) == (name in COMPUTED)
+
+
+@pytest.mark.parametrize("name", ["F13", "F251", "F257"])
+def test_prime_field_matches_int_residues(name):
+    ctx = FIELDS[name]()
+    p = ctx.p
+    xs = _sample(ctx)
+    for a in xs:
+        assert (-a).rep == -a.rep % p
+        for e in (0, 1, 2, 5, p - 1, p + 3):
+            assert (a ** e).rep == pow(a.rep, e, p)
+        if a:
+            assert a.inverse().rep == pow(a.rep, p - 2, p)
+            assert (a ** -3).rep == pow(a.rep, -3, p)
+        for b in xs:
+            assert (a + b).rep == (a.rep + b.rep) % p
+            assert (a - b).rep == (a.rep - b.rep) % p
+            assert (a * b).rep == a.rep * b.rep % p
+            if b:
+                assert (a / b).rep == a.rep * pow(b.rep, p - 2, p) % p
+
+
+@pytest.mark.parametrize("name", ["F169", "F256", "F4^2", "F289", "F512", "F4^5", "F289^2"])
+def test_extension_matches_polynomials_mod_modulus(name):
+    ctx = FIELDS[name]()
+    mod = ctx.modulus
+    xs = _sample(ctx, n=12)
+    one = ctx.one()
+    for a in xs:
+        pa = _as_poly(a)
+        assert _as_poly(-a) == -pa
+        if a:
+            assert a * a.inverse() == one
+            assert a ** -1 == a.inverse()
+            assert a ** (ctx.order - 1) == one
+        assert a ** 0 == one
+        assert a ** 5 == a * a * a * a * a
+        assert _as_poly(a ** 3) == pa.pow(3) % mod
+        for b in xs:
+            pb = _as_poly(b)
+            assert _as_poly(a + b) == pa + pb
+            assert _as_poly(a - b) == pa - pb
+            assert _as_poly(a * b) == (pa * pb) % mod
+
+
+@pytest.mark.parametrize("name", ["F169", "F256", "F4^2", "F289", "F512", "F4^5", "F289^2"])
+def test_embed_down_cast_round_trips(name):
+    ctx = FIELDS[name]()
+    chain = []
+    sub = ctx.base
+    while sub is not None:
+        chain.append(sub)
+        sub = sub.base
+    for sub in chain:
+        for v in _sample(sub, n=8):
+            up = gf.embed(v, ctx)
+            assert up.ctx is ctx and up.encode() == v.encode()
+            assert gf.down_cast(up, sub) == v
+            assert gf.in_subfield(up, sub)
+    alpha = ctx.gen()
+    for sub in chain:
+        with pytest.raises(CtxMismatchError):
+            gf.down_cast(alpha, sub)
+    with pytest.raises(CtxMismatchError):
+        gf.embed(alpha, ctx.base)
+
+
+def test_encoding_is_little_endian_over_the_base():
+    ctx = FIELDS["F289^2"]()
+    x = ctx.from_coeffs([ctx.base.decode(200), ctx.base.decode(7)])
+    assert x.encode() == 200 + 7 * 289
+    assert gf.parse_elem(ctx, gf.format_elem(x)) == x
+    assert gf.format_elem(x) == "[[13,11],[7,0]]"
+
+
+@pytest.mark.parametrize("name", ["F257", "F289"])
+def test_divmod_identity_computed_fields(name):
+    ctx = FIELDS[name]()
+    rng = random.Random(name)
+
+    def poly(deg):
+        return upoly.Poly(ctx, [ctx.decode(rng.randrange(ctx.order)) for _ in range(deg)]
+                          + [ctx.decode(rng.randrange(1, ctx.order))])
+
+    for fd, gd in [(0, 0), (3, 5), (12, 4), (30, 7), (9, 9)]:
+        f, g = poly(fd), poly(gd)
+        q, r = divmod(f, g)
+        assert q * g + r == f
+        assert r.deg < g.deg
+
+
+def test_extend_is_memoized_and_bounded(monkeypatch):
+    F3 = gf.prime_field(3)
+    h = upoly.Poly.from_ints(F3, [1, 0, 1])
+    assert gf.extend(F3, h) is gf.extend(F3, h)
+    with pytest.raises(SizeCapError):
+        gf.extend(F3, h, cap=8)  # the cap holds even when the field is cached
+    F7 = gf.prime_field(7)
+    assert gf.extension_of(F7, 2) is gf.extend(F7, gf.least_irreducible(F7, 2))
+    with pytest.raises(SizeCapError):
+        gf.extension_of(F7, 2, cap=48)
+
+    monkeypatch.setattr(gf, "_extend_cache", {})
+    monkeypatch.setattr(gf, "_EXTEND_CACHE_LIMIT", 3)
+    F5 = gf.prime_field(5)
+    moduli = list(upoly.monic_irreducibles(F5, 2))[:5]
+    fields = [gf.extend(F5, h) for h in moduli]
+    assert len(gf._extend_cache) == 3
+    assert gf.extend(F5, moduli[-1]) is fields[-1]
+    rebuilt = gf.extend(F5, moduli[0])  # the oldest was evicted
+    assert rebuilt is not fields[0] and rebuilt == fields[0]
+    assert len(gf._extend_cache) == 3
+
+
+def test_field_create_256_builds_its_tables_quickly():
+    import time
+
+    gf._create_cache.pop((2, 8), None)
+    start = time.perf_counter()
+    tables = gf.field_create(2, 8).tables()
+    elapsed = time.perf_counter() - start
+    assert tables is not None
+    assert elapsed < 0.5, f"field_create(2, 8) took {elapsed:.3f}s"
