@@ -10,11 +10,16 @@ Each value of the degree-|G| invariant generator on a regular orbit picks out
 one conjugacy class of elements of order > 2; infinity corresponds to the
 identity class and the value on the quadratic orbit to the involutions, which
 form one class for even q and two for odd q.
+
+The Lang equation s = sigma(t)^(-1) t is solved from its solution line:
+X_s = {z : s(z) = z^q} is t^(-1)(P^1(F_q)), so every cross-ratio of four
+points of X_s lies in F_q, and the cross-ratio map sending the first three
+points of X_s to infinity, 0 and 1 is a solution.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -97,14 +102,9 @@ def _class_key(s: mo.Moebius) -> tuple[int, bool]:
     return (tr * tr / det).encode(), flag
 
 
-_classes_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _classes_by_key(ctx: gf.FieldCtx) -> tuple[tuple[ClassLabel, ...], dict]:
     """The sorted class labels and the map from class key to label (cached)."""
-    cached = _classes_cache.get(ctx)
-    if cached is not None:
-        return cached
     G = go.full_pgl(ctx)
     q = ctx.order
     q_odd = ctx.p != 2
@@ -124,9 +124,7 @@ def _classes_by_key(ctx: gf.FieldCtx) -> tuple[tuple[ClassLabel, ...], dict]:
     expected = q + 2 if q_odd else q + 1
     if len(labels) != expected:
         raise InvariantViolation(f"expected {expected} classes, found {len(labels)}")
-    cached = (tuple(labels), by_key)
-    _classes_cache[ctx] = cached
-    return cached
+    return tuple(labels), by_key
 
 
 def conjugacy_classes(ctx: gf.FieldCtx) -> tuple[ClassLabel, ...]:
@@ -147,33 +145,23 @@ def class_of(ctx: gf.FieldCtx, s: mo.Moebius) -> ClassLabel:
     return _classes_by_key(ctx)[1][_class_key(s)]
 
 
-_mu_cache: dict = {}
-_phi_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def canonical_generator(ctx: gf.FieldCtx) -> inv.RatFunc:
     """Invariant generator of the full group used for the correspondence."""
-    phi = _phi_cache.get(ctx)
-    if phi is None:
-        phi = inv.invariant_generator(go.full_pgl(ctx))
-        _phi_cache[ctx] = phi
-    return phi
+    return inv.invariant_generator(go.full_pgl(ctx))
 
 
+@functools.lru_cache(maxsize=64)
 def quadratic_orbit_value(ctx: gf.FieldCtx) -> gf.FieldElem:
     """mu = phi(gamma) for the least gamma in F_{q^2} outside F_q; the common
     invariant value of the whole quadratic orbit."""
-    mu = _mu_cache.get(ctx)
-    if mu is None:
-        phi = canonical_generator(ctx)
-        ext2 = gf.extension_of(ctx, 2)
-        gamma = next(v for v in ext2.elements() if not gf.in_subfield(v, ctx))
-        value = phi.eval_point(mo.ProjPoint(gamma))
-        if value.value is None:
-            raise InvariantViolation("phi has a pole on the quadratic orbit")
-        mu = gf.down_cast(value.value, ctx)
-        _mu_cache[ctx] = mu
-    return mu
+    phi = canonical_generator(ctx)
+    ext2 = gf.extension_of(ctx, 2)
+    gamma = next(v for v in ext2.elements() if not gf.in_subfield(v, ctx))
+    value = phi.eval_point(mo.ProjPoint(gamma))
+    if value.value is None:
+        raise InvariantViolation("phi has a pole on the quadratic orbit")
+    return gf.down_cast(value.value, ctx)
 
 
 def class_of_lambda(ctx: gf.FieldCtx, lam: mo.ProjPoint
@@ -244,190 +232,38 @@ def _sigma_moebius(t: mo.Moebius, q: int) -> mo.Moebius:
 def lang_solve(s: mo.Moebius) -> LangSolution:
     """Solve s = sigma(t)^(-1) * t with t over F_{q^r}, r = order(s).
 
-    Works on matrix pre-images: S^r is a scalar c, a norm preimage mu of c
-    twists the q-power map into an F_q-linear operator on 2x2 matrices over
-    F_{q^r}, and any invertible fixed matrix projects to a valid t.  The
-    returned t satisfies X_s = t^(-1)(P^1(F_q)) exactly.
+    X_s, the solutions of s(z) = z^q on P^1(F_{q^r}), is t0^(-1)(P^1(F_q))
+    for some solution t0.  With z0, z1, z2 the first three points of X_s in
+    key order, t is the Moebius map sending them to infinity, 0 and 1.  Then
+    t * t0^(-1) sends three points of P^1(F_q) to infinity, 0 and 1, so it
+    is some g in PGL(2,q), and t = g * t0 solves the equation because sigma
+    fixes g.  Every other solution is h * t for h in PGL(2,q).  Both the
+    defining equation and X_s = t^(-1)(P^1(F_q)) are checked.
     """
     ctx = s.ctx
     q = ctx.order
     r = s.order()
     # no F_{q^r} scan below, so the field size alone need not be capped
     ext = gf.extension_of(ctx, r, cap=max(gf.size_cap(), q ** r))
-    deg = ext.degree  # r, except r == 1 where ext is ctx itself
 
-    a, b, c, d = (gf.embed(e, ext) for e in s.entries())
-    S = ((a, b), (c, d))
-
-    def mat_mul(X, Y):
-        return ((X[0][0] * Y[0][0] + X[0][1] * Y[1][0],
-                 X[0][0] * Y[0][1] + X[0][1] * Y[1][1]),
-                (X[1][0] * Y[0][0] + X[1][1] * Y[1][0],
-                 X[1][0] * Y[0][1] + X[1][1] * Y[1][1]))
-
-    power = ((ext.one(), ext.zero()), (ext.zero(), ext.one()))
-    for _ in range(r):
-        power = mat_mul(power, S)
-    if power[0][1] or power[1][0] or power[0][0] != power[1][1]:
-        raise InvariantViolation("s^order is not scalar on matrix pre-images")
-    scalar = power[0][0]
-
-    mu_inv = _norm_preimage(ctx, ext, scalar).inverse()
-
-    # F_q-linear fixed-point problem: T = mu^(-1) sigma(T) S over M_2(F_{q^r})
-    if ext is ctx:  # r == 1
-        deg = 1
-        basis_elems = [ext.one()]
-        coords = lambda v: (v,)
-    else:
-        basis_elems = [ext.from_coeffs([0] * i + [1]) for i in range(deg)]
-        coords = lambda v: v.coeffs()
-    unknowns = []
-    for pos in range(4):
-        for be in basis_elems:
-            entries = [ext.zero()] * 4
-            entries[pos] = be
-            unknowns.append(((entries[0], entries[1]), (entries[2], entries[3])))
-
-    def operator(T):
-        sig = ((T[0][0] ** q, T[0][1] ** q), (T[1][0] ** q, T[1][1] ** q))
-        prod = mat_mul(sig, S)
-        return ((mu_inv * prod[0][0] - T[0][0], mu_inv * prod[0][1] - T[0][1]),
-                (mu_inv * prod[1][0] - T[1][0], mu_inv * prod[1][1] - T[1][1]))
-
-    n = 4 * deg
-    columns = []
-    for T in unknowns:
-        image = operator(T)
-        col = []
-        for row_pair in image:
-            for entry in row_pair:
-                col.extend(coords(entry))
-        columns.append(col)
-    # rows: n equations over F_q; kernel gives all solutions
-    matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-    kernel = _kernel_basis(ctx, matrix)
-    if not kernel:
-        raise InvariantViolation("Lang equation has no solutions; impossible")
-
-    def to_matrix(vec):
-        entries = []
-        for pos in range(4):
-            acc = ext.zero()
-            for l, be in enumerate(basis_elems):
-                coeff = vec[pos * deg + l]
-                if coeff:
-                    acc = acc + gf.embed(coeff, ext) * be
-            entries.append(acc)
-        return ((entries[0], entries[1]), (entries[2], entries[3]))
-
-    t = None
-    for combo in _small_combinations(ctx, len(kernel)):
-        vec = [ctx.zero()] * n
-        nonzero = False
-        for coeff, basis_vec in zip(combo, kernel):
-            if coeff:
-                nonzero = True
-                for i in range(n):
-                    vec[i] = vec[i] + coeff * basis_vec[i]
-        if not nonzero:
-            continue
-        T = to_matrix(vec)
-        if T[0][0] * T[1][1] - T[0][1] * T[1][0]:
-            t = mo.Moebius(T[0][0], T[0][1], T[1][0], T[1][1])
-            break
-    if t is None:
-        raise InvariantViolation("no invertible solution of the Lang equation found")
-
-    # verify s = sigma(t)^(-1) t
-    sig_t = _sigma_moebius(t, q)
-    if sig_t.inverse().compose(t) != s.lift_to(ext):
-        raise InvariantViolation("Lang solution fails its defining equation")
-
-    # X_s = t^(-1)(P^1(F_q))
-    ps = sf.frobenius_companion(s)
-    finite = upoly.roots_in(ps, ext)
+    finite = upoly.roots_in(sf.frobenius_companion(s), ext)
     points = [mo.ProjPoint(v) for v in finite]
     if not s.c:
         points.append(mo.INFINITY)
     points.sort(key=lambda z: z.key())
+
+    z0, z1, z2 = (z.value for z in points[:3])
+    if z0 is None:  # t = (z - z1) / (z2 - z1)
+        t = mo.Moebius(ext.one(), -z1, ext.zero(), z2 - z1)
+    else:  # t = (z2 - z0)(z - z1) / ((z2 - z1)(z - z0))
+        u, v = z2 - z0, z2 - z1
+        t = mo.Moebius(u, -u * z1, v, -v * z0)
+
+    if _sigma_moebius(t, q).inverse().compose(t) != s.lift_to(ext):
+        raise InvariantViolation("Lang solution fails its defining equation")
     t_inv = t.inverse()
     image = {t_inv.apply(mo.ProjPoint(gf.embed(v, ext))) for v in ctx.elements()}
     image.add(t_inv.apply(mo.INFINITY))
     if image != set(points):
         raise InvariantViolation("solution set is not the t-image of the rational line")
     return LangSolution(s, t, ext, tuple(points), len(finite))
-
-
-def _norm_preimage(ctx: gf.FieldCtx, ext: gf.FieldCtx, c: gf.FieldElem) -> gf.FieldElem:
-    """mu in ext with norm N(mu) = mu^((|ext|-1)/(q-1)) equal to c in F_q^*.
-
-    mu = g^e, where g is the least nonzero element (in encode order) whose
-    norm generates F_q^* and e is the discrete log of c to base N(g); the
-    norm is onto F_q^*, so g is found after a few candidates, and the log
-    takes at most q-1 steps.
-    """
-    q = ctx.order
-    norm_exp = (ext.order - 1) // (q - 1)
-    cofactors = [(q - 1) // ell for ell in sf.divisors(q - 1) if gf.is_prime(ell)]
-    one = ext.one()
-    for g in ext.elements():
-        if not g:
-            continue
-        base = g ** norm_exp
-        if all(base ** k != one for k in cofactors):
-            break
-    power = one
-    for e in range(q - 1):
-        if power == c:
-            return g ** e
-        power = power * base
-    raise InvariantViolation("no norm preimage for the scalar of s^order")
-
-
-def _kernel_basis(ctx: gf.FieldCtx, matrix: list) -> list:
-    """Kernel of a square matrix over the field, by Gaussian elimination."""
-    n = len(matrix)
-    rows = [list(row) for row in matrix]
-    pivots: dict[int, int] = {}
-    row_idx = 0
-    for col in range(n):
-        pivot = None
-        for i in range(row_idx, n):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[row_idx], rows[pivot] = rows[pivot], rows[row_idx]
-        inv_lead = rows[row_idx][col].inverse()
-        rows[row_idx] = [e * inv_lead for e in rows[row_idx]]
-        for i in range(n):
-            if i != row_idx and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [e - factor * pe for e, pe in zip(rows[i], rows[row_idx])]
-        pivots[col] = row_idx
-        row_idx += 1
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    zero, one = ctx.zero(), ctx.one()
-    for fc in free_cols:
-        vec = [zero] * n
-        vec[fc] = one
-        for col, ri in pivots.items():
-            vec[col] = -rows[ri][fc]
-        basis.append(vec)
-    return basis
-
-
-def _small_combinations(ctx: gf.FieldCtx, k: int):
-    """Coefficient vectors over F_q in a deterministic small-first order."""
-    elems = list(ctx.elements())
-    # single basis vectors first
-    for i in range(k):
-        for e in elems[1:]:
-            combo = [elems[0]] * k
-            combo[i] = e
-            yield combo
-    for combo in itertools.product(elems, repeat=k):
-        yield list(combo)

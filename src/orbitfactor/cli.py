@@ -97,6 +97,14 @@ def _poly_doc(f: upoly.Poly) -> str:
     return upoly.format_poly(f)
 
 
+def _parsed(parse, ctx: gf.FieldCtx, text: str):
+    """parse(ctx, text), with malformed text reported as a usage error."""
+    try:
+        return parse(ctx, text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _require_positive(flag: str, value: int) -> None:
     if value < 1:
         raise UsageError(f"{flag} must be at least 1, got {value}")
@@ -105,7 +113,7 @@ def _require_positive(flag: str, value: int) -> None:
 def _cmd_factor(args) -> int:
     _require_positive("--k", args.k)
     ctx = gf.field_create(args.p, args.m)
-    raw, s = mo.parse_moebius_raw(ctx, args.s)
+    raw, s = _parsed(mo.parse_moebius_raw, ctx, args.s)
     res = sf.factor_general_k(s, args.k)
     # scale to the caller's coefficients: raw and normalized differ by a unit
     input_poly = sf.companion_poly(ctx, raw, args.k)
@@ -176,7 +184,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_orbit_poly(args) -> int:
     ctx = gf.field_create(args.p, args.m)
-    gens = [mo.parse_moebius(ctx, text) for text in args.gens]
+    gens = [_parsed(mo.parse_moebius, ctx, text) for text in args.gens]
     G = go.generate(ctx, gens)
     P = inv.orbit_polynomial(G)
     lines = [f"group order: {len(G)}",
@@ -201,7 +209,7 @@ def _cmd_invariant(args) -> int:
         phi = inv.pgl_generator(ctx)
         source = "closed-form"
     else:
-        G = go.generate(ctx, [mo.parse_moebius(ctx, t) for t in args.gens])
+        G = go.generate(ctx, [_parsed(mo.parse_moebius, ctx, t) for t in args.gens])
         phi = inv.invariant_generator(G)
         source = f"subgroup of order {len(G)}"
     f, g = phi.monic_pair()
@@ -219,7 +227,7 @@ def _cmd_invariant(args) -> int:
 def _cmd_orbits(args) -> int:
     _require_positive("--ext", args.ext)
     ctx = gf.field_create(args.p, args.m)
-    G = go.generate(ctx, [mo.parse_moebius(ctx, t) for t in args.gens])
+    G = go.generate(ctx, [_parsed(mo.parse_moebius, ctx, t) for t in args.gens])
     report = go.orbit_decomposition(G, args.ext)
     lines = [f"group order: {len(G)}; points: {report.ext.order + 1}"]
     orbit_docs = []
@@ -257,7 +265,7 @@ def _cmd_classes(args) -> int:
     lines.append(f"quadratic-orbit value mu = {gf.format_elem(mu)}")
     if args.lam is not None:
         lam = mo.INFINITY if args.lam in ("inf", "infinity") \
-            else mo.ProjPoint(gf.parse_elem(ctx, args.lam))
+            else mo.ProjPoint(_parsed(gf.parse_elem, ctx, args.lam))
         result = cl.class_of_lambda(ctx, lam)
         if isinstance(result, cl.AmbiguousInvolutions):
             text = ("both involution classes (odd q): "
@@ -273,7 +281,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_lambda_report(args) -> int:
     ctx = gf.field_create(args.p, args.m)
-    s = mo.parse_moebius(ctx, args.s)
+    s = _parsed(mo.parse_moebius, ctx, args.s)
     report = sf.lambda_family_report(s, seed=args.seed)
     lines = [f"degrees across lambda in F_{ctx.order} "
              f"(count, Euler-phi prediction):"]
@@ -292,7 +300,7 @@ def _cmd_lambda_report(args) -> int:
 
 def _cmd_lang(args) -> int:
     ctx = gf.field_create(args.p, args.m)
-    s = mo.parse_moebius(ctx, args.s)
+    s = _parsed(mo.parse_moebius, ctx, args.s)
     sol = cl.lang_solve(s)
     lines = [f"s = {mo.format_moebius(s)} (order {s.order()})",
              f"t = {mo.format_moebius(sol.t)} over GF({ctx.order}^{max(sol.ext.degree,1)})"
@@ -352,9 +360,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except AlgebraError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

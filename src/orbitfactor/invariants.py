@@ -9,6 +9,7 @@ linear one-parameter family attached to G.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -239,9 +240,7 @@ class OrbitPolynomial:
         return " + ".join(parts)
 
 
-_orbit_poly_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def orbit_polynomial(G: go.Subgroup) -> OrbitPolynomial:
     """Expand the product over s in G of (T - s(x)) with exact arithmetic.
 
@@ -251,9 +250,6 @@ def orbit_polynomial(G: go.Subgroup) -> OrbitPolynomial:
     numerator/denominator lines of distinct powers are verified pairwise
     non-proportional.
     """
-    cached = _orbit_poly_cache.get(G)
-    if cached is not None:
-        return cached
     ctx = G.ctx
     m = len(G)
     zero_poly = upoly.Poly.zero(ctx)
@@ -285,9 +281,7 @@ def orbit_polynomial(G: go.Subgroup) -> OrbitPolynomial:
             common_den = coeff.den
         elif coeff.den != common_den:
             raise InvariantViolation("nonconstant coefficients disagree on denominator")
-    result = OrbitPolynomial(G, coeffs, _extract_family(coeffs), _param_index(coeffs))
-    _orbit_poly_cache[G] = result
-    return result
+    return OrbitPolynomial(G, coeffs, _extract_family(coeffs), _param_index(coeffs))
 
 
 def _param_index(coeffs: tuple[RatFunc, ...]) -> int:

@@ -311,7 +311,9 @@ def parse_moebius_raw(ctx: gf.FieldCtx, text: str) -> tuple:
     """Parse "(a*x+b)/(c*x+d)", "a*x+b" or "x"; returns ((a,b,c,d), Moebius).
 
     The raw tuple keeps the caller's scaling, which matters when building
-    the degree-(q+1) companion polynomial with its original unit.
+    the degree-(q+1) companion polynomial with its original unit.  An
+    unparseable number, an empty linear form and a singular transformation
+    (ad - bc = 0) raise ValueError.
     """
     text = text.strip()
     depth = 0
@@ -330,6 +332,8 @@ def parse_moebius_raw(ctx: gf.FieldCtx, text: str) -> tuple:
     else:
         a, b = _parse_linear(ctx, text)
         c, d = ctx.zero(), ctx.one()
+    if not a * d - b * c:
+        raise ValueError(f"{text!r} is singular: ad - bc = 0")
     raw = (a, b, c, d)
     return raw, Moebius(a, b, c, d)
 

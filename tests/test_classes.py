@@ -119,7 +119,7 @@ def test_class_of_is_a_conjugacy_invariant(field, s_entries, g_entries):
 @pytest.mark.parametrize("p,m", [(2, 4), (17, 1)])
 def test_conjugacy_classes_time_budget(p, m):
     ctx = gf.field_create(p, m)
-    cl._classes_cache.pop(ctx, None)
+    cl._classes_by_key.cache_clear()
     limit_s = 10.0
     start = time.perf_counter()
     labels = cl.conjugacy_classes(ctx)
@@ -206,6 +206,26 @@ def test_lang_identity(F3):
     assert sol.ext is F3
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_lang_identity_solution_is_identity(p, m):
+    ctx = gf.field_create(p, m)
+    assert cl.lang_solve(mo.Moebius.identity(ctx)).t.is_identity()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from([(5, 1), (7, 1), (2, 3), (3, 2)]),
+       st.lists(st.integers(min_value=0, max_value=16), min_size=4, max_size=4))
+def test_lang_solution_sends_first_points_to_inf_0_1(field, s_entries):
+    ctx = gf.field_create(*field)
+    s = _moebius_from(ctx, s_entries)
+    sol = cl.lang_solve(s)
+    ext = sol.ext
+    images = [sol.t.apply(z) for z in sol.solution_points[:3]]
+    assert images == [mo.INFINITY, mo.ProjPoint(ext.zero()), mo.ProjPoint(ext.one())]
+    sig = mo.Moebius(*(e ** ctx.order for e in sol.t.entries()))
+    assert sig.inverse().compose(sol.t) == s.lift_to(ext)
+
+
 def test_lang_solution_points_are_solutions(F3):
     s = next(t for t in go.full_pgl(F3) if t.order() == 4)
     sol = cl.lang_solve(s)
@@ -226,17 +246,3 @@ def test_lang_beyond_former_size_cap(F7):
     sig = mo.Moebius(*(e ** q for e in sol.t.entries()))
     assert sig.inverse().compose(sol.t) == s.lift_to(sol.ext)
     assert len(sol.solution_points) == q + 1
-
-
-def test_kernel_basis_solves(F5):
-    # random singular system sanity: kernel vectors really are annihilated
-    rows = [[F5.elem(v) for v in row] for row in
-            ((1, 2, 3), (2, 4, 6), (0, 1, 1))]
-    basis = cl._kernel_basis(F5, rows)
-    assert basis
-    for vec in basis:
-        for row in rows:
-            acc = F5.zero()
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            assert acc == F5.zero()

@@ -57,6 +57,12 @@ def test_lang(capsys):
     assert "verified" in out
 
 
+def test_lang_readme_command(capsys):
+    code, out, _ = run_cli(capsys, "lang", "--p", "2", "--m", "1", "--s", "(1)/(x+1)")
+    assert code == 0
+    assert "t = (x+[0,0,1])/([0,0,1]*x+[1,0,1]) over GF(2^3)" in out.splitlines()
+
+
 def test_lang_beyond_former_size_cap(capsys):
     code, out, _ = run_cli(capsys, "lang", "--p", "7", "--m", "1", "--s", "(3x-1)/(x+3)")
     assert code == 0
@@ -115,6 +121,17 @@ def test_nonpositive_degree_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("factor", "--p", "2", "--m", "2", "--s", "([0,1]x+1)/(x+[1,1])"),
+    ("factor", "--p", "7", "--s", "(2x+4)/(x+2)"),
+    ("lang", "--p", "7", "--s", "0"),
+])
+def test_singular_transformation_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error:") and "singular" in err
 
 
 def test_unknown_command_exit_code(capsys):

@@ -1,4 +1,5 @@
-"""CLI fuzz: every input ends in exit code 0, 1 or 2, never a traceback.
+"""CLI fuzz: every input ends in exit code 0, 1 or 2, never a traceback or a
+failed internal self-check.
 
 Drives ``cli.run`` in-process with transformation texts that are either
 well formed over random field elements or random strings over the
@@ -45,6 +46,8 @@ def _exit_code(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     assert "Traceback" not in err.getvalue()
+    # a failed self-check means a bug, never a malformed input
+    assert "InvariantViolation" not in err.getvalue()
     return code
 
 

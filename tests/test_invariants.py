@@ -277,3 +277,17 @@ def test_phi_rational_on_small_layers(p):
         for v in ext.elements():
             value = phi.eval_point(mo.ProjPoint(v))
             assert value.value is None or gf.in_subfield(value.value, ctx)
+
+
+def test_orbit_polynomial_cache_is_bounded():
+    ctx = gf.prime_field(11)
+    involutions = [s for s in go.full_pgl(ctx) if s.order() == 2]
+    groups = [go.generate(ctx, [s]) for s in involutions[:65]]
+    for G in groups:
+        inv.orbit_polynomial(G)
+    assert inv.orbit_polynomial.cache_info().currsize == 64
+    misses = inv.orbit_polynomial.cache_info().misses
+    inv.orbit_polynomial(groups[-1])
+    assert inv.orbit_polynomial.cache_info().misses == misses
+    inv.orbit_polynomial(groups[0])  # the oldest entry was evicted
+    assert inv.orbit_polynomial.cache_info().misses == misses + 1
