@@ -17,7 +17,7 @@ from . import classes as cl
 from . import gf, grouporbit as go, invariants as inv, moebius as mo
 from . import structfactor as sf
 from . import upoly, verify
-from .errors import AlgebraError, UsageError
+from .errors import AlgebraError, CtxMismatchError, UsageError
 
 SCHEMA = "orbitfactor/1"
 
@@ -98,10 +98,11 @@ def _poly_doc(f: upoly.Poly) -> str:
 
 
 def _parsed(parse, ctx: gf.FieldCtx, text: str):
-    """parse(ctx, text), with malformed text reported as a usage error."""
+    """parse(ctx, text), with malformed text, or element text in another
+    field's format, reported as a usage error."""
     try:
         return parse(ctx, text)
-    except ValueError as exc:
+    except (ValueError, CtxMismatchError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -142,7 +143,7 @@ def _cmd_factor(args) -> int:
         "unit": gf.format_elem(unit),
         "degree": structured.degree_r,
         "factors": [],
-        "family": structured.orbit_poly.family_text(),
+        "family": inv.family_text(structured.family),
         "reconstructed": True,
     }
     if args.k == 1:
@@ -158,7 +159,7 @@ def _cmd_factor(args) -> int:
             doc["factors"].append({"factor": _poly_doc(entry.poly),
                                    "lambda": str(entry.lam),
                                    "minimal_check": upoly.is_irreducible(entry.poly)})
-        lines.append(f"family: {structured.orbit_poly.family_text()}")
+        lines.append(f"family: {inv.family_text(structured.family)}")
     else:
         lines.append("factors over the ground field:")
         for factor in res.factors:

@@ -33,8 +33,8 @@ _ENV_CAP = "ORBITFACTOR_SIZE_CAP"
 _ELEM_CACHE_LIMIT = 4096
 # fields small enough for full arithmetic lookup tables
 _TABLE_LIMIT = 256
-# contexts memoized by extend, oldest evicted first
-_EXTEND_CACHE_LIMIT = 64
+# contexts memoized by prime_field, field_create and extend, oldest evicted first
+_CACHE_LIMIT = 64
 
 
 def size_cap() -> int:
@@ -518,6 +518,16 @@ _create_cache: dict = {}
 _extend_cache: dict = {}
 
 
+def _remember(cache: dict, key, ctx: FieldCtx) -> None:
+    """cache[key] = ctx, evicting the oldest entry beyond _CACHE_LIMIT.
+
+    Eviction is safe: a rebuilt context equals the evicted one, and
+    FieldCtx equality compares structure, not identity."""
+    if len(cache) >= _CACHE_LIMIT:
+        del cache[next(iter(cache))]
+    cache[key] = ctx
+
+
 def prime_field(p: int) -> FieldCtx:
     """The prime field F_p."""
     ctx = _prime_cache.get(p)
@@ -525,7 +535,7 @@ def prime_field(p: int) -> FieldCtx:
         if not is_prime(p):
             raise NonPrimeError(f"{p} is not prime")
         ctx = FieldCtx(p, None, None)
-        _prime_cache[p] = ctx
+        _remember(_prime_cache, p, ctx)
     return ctx
 
 
@@ -550,7 +560,7 @@ def field_create(p: int, m: int, cap: Optional[int] = None) -> FieldCtx:
     else:
         h = least_irreducible(base, m)
         ctx = FieldCtx(p, base, tuple(h.coeffs))
-    _create_cache[key] = ctx
+    _remember(_create_cache, key, ctx)
     return ctx
 
 
@@ -577,9 +587,7 @@ def extend(base: FieldCtx, h, cap: Optional[int] = None) -> FieldCtx:
         if not upoly.is_irreducible(h):
             raise NotIrreducibleError(f"modulus {h} is reducible over {base}")
         ctx = FieldCtx(base.p, base, tuple(h.coeffs))
-        if len(_extend_cache) >= _EXTEND_CACHE_LIMIT:
-            del _extend_cache[next(iter(_extend_cache))]  # the oldest entry
-        _extend_cache[h] = ctx
+        _remember(_extend_cache, h, ctx)
     return ctx
 
 

@@ -4,7 +4,9 @@ The orbit polynomial of G is the monic degree-|G| polynomial in T whose roots
 are the images of x under G; its nonconstant coefficients share a single
 denominator A(x) and any one of them generates the invariant function field.
 All nonconstant coefficients are affine in any fixed one, which yields the
-linear one-parameter family attached to G.
+linear one-parameter family attached to G.  :func:`orbit_polynomial` expands
+the coefficients as rational functions; :func:`orbit_family` reads only the
+family off two specializations of the polynomial at points of P^1.
 """
 
 from __future__ import annotations
@@ -217,27 +219,31 @@ class OrbitPolynomial:
         return upoly.Poly(target, out)
 
     def family_text(self) -> str:
-        """Human form "T^n + (a*t+b)T^(n-1) + ..." of the family."""
-        n = len(self.coeffs) - 1
-        parts = []
-        for i in range(n, -1, -1):
-            a, b = self.family[i]
-            if not a and not b:
-                continue
-            if not a:
-                coeff = gf.format_elem(b)
-            else:
-                at = "t" if a == a.ctx.one() else f"{gf.format_elem(a)}*t"
-                coeff = at if not b else f"{at}+{gf.format_elem(b)}"
-                coeff = f"({coeff})"
-            if i == 0:
-                parts.append(coeff)
-            elif i == n and coeff == "1":
-                parts.append(f"T^{n}")
-            else:
-                term = "T" if i == 1 else f"T^{i}"
-                parts.append(term if coeff == "1" else f"{coeff}*{term}")
-        return " + ".join(parts)
+        return family_text(self.family)
+
+
+def family_text(family: tuple) -> str:
+    """Human form "T^n + (a*t+b)T^(n-1) + ..." of a family of pairs (a_i, b_i)."""
+    n = len(family) - 1
+    parts = []
+    for i in range(n, -1, -1):
+        a, b = family[i]
+        if not a and not b:
+            continue
+        if not a:
+            coeff = gf.format_elem(b)
+        else:
+            at = "t" if a == a.ctx.one() else f"{gf.format_elem(a)}*t"
+            coeff = at if not b else f"{at}+{gf.format_elem(b)}"
+            coeff = f"({coeff})"
+        if i == 0:
+            parts.append(coeff)
+        elif i == n and coeff == "1":
+            parts.append(f"T^{n}")
+        else:
+            term = "T" if i == 1 else f"T^{i}"
+            parts.append(term if coeff == "1" else f"{coeff}*{term}")
+    return " + ".join(parts)
 
 
 @functools.lru_cache(maxsize=64)
@@ -246,27 +252,24 @@ def orbit_polynomial(G: go.Subgroup) -> OrbitPolynomial:
 
     Computed in F_q[x][T] via the product of ((c_s x + d_s) T - (a_s x + b_s))
     and division of every T-coefficient by A(x), the product of the
-    denominators.  For a cyclic group of order r > 2 dividing q+1 the
-    numerator/denominator lines of distinct powers are verified pairwise
-    non-proportional.
+    denominators.  The lines of the elements are checked by
+    :func:`_check_distinct_lines`.
     """
     ctx = G.ctx
     m = len(G)
     zero_poly = upoly.Poly.zero(ctx)
     # product over s of (v_s(x) * T - u_s(x)), tracked as T-coefficients in F_q[x]
     acc = [upoly.Poly.one(ctx)]
-    lines = []
     for s in G.elements:
         u = upoly.Poly(ctx, (s.b, s.a))
         v = upoly.Poly(ctx, (s.d, s.c))
-        lines.append((u, v))
         nxt = [zero_poly] * (len(acc) + 1)
         for i, coeff in enumerate(acc):
             if coeff:
                 nxt[i + 1] = nxt[i + 1] + coeff * v
                 nxt[i] = nxt[i] - coeff * u
         acc = nxt
-    _check_distinct_lines(G, lines)
+    _check_distinct_lines(G)
     A = acc[m]
     coeffs = tuple(RatFunc(B, A) for B in acc)
     if coeffs[m] != RatFunc.constant(ctx.one()):
@@ -316,24 +319,95 @@ def _extract_family(coeffs: tuple[RatFunc, ...]) -> tuple:
     return tuple(out)
 
 
-def _check_distinct_lines(G: go.Subgroup, lines: list) -> None:
-    """Pairwise non-proportional numerators/denominators for cyclic G of
-    order r > 2 dividing q+1 (a fixed-point-freeness consequence)."""
+def _check_distinct_lines(G: go.Subgroup) -> None:
+    """Pairwise non-proportional numerators ax+b and denominators cx+d for
+    cyclic G of order r > 2 dividing q+1 (a fixed-point-freeness
+    consequence)."""
     m = len(G)
     q = G.ctx.order
     if m <= 2 or (q + 1) % m or not G.is_cyclic():
         return
 
-    def proportional(f: upoly.Poly, g: upoly.Poly) -> bool:
-        if f.deg != g.deg:
-            return False
-        return f.monic() == g.monic()
+    def monic(u: gf.FieldElem, v: gf.FieldElem) -> tuple:
+        """The line ux+v up to a scalar, as encodings of its monic form."""
+        return (1, (v / u).rep) if u else (0, 1)
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if proportional(lines[i][0], lines[j][0]) or proportional(lines[i][1], lines[j][1]):
-                raise InvariantViolation("proportional numerator or denominator lines "
-                                         "in a fixed-point-free cyclic group")
+    numerators = {monic(s.a, s.b) for s in G.elements}
+    denominators = {monic(s.c, s.d) for s in G.elements}
+    if len(numerators) < m or len(denominators) < m:
+        raise InvariantViolation("proportional numerator or denominator lines "
+                                 "in a fixed-point-free cyclic group")
+
+
+def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
+    """(family, param_index) of the orbit polynomial of G, without expanding it.
+
+    At a point z outside the orbit of infinity every coefficient c_i is
+    finite, and the orbit polynomial specializes to c(z) = prod over g in G
+    of (T - g(z)), O(|G|^2) field operations.  The parameter t separates
+    G-orbits, so at points z0, z1 in different orbits c_i(z0) = c_i(z1)
+    exactly for the constant coefficients: param_index is the first i where
+    they differ, and c_i = a_i*t + b_i gives
+    a_i = (c_i(z0) - c_i(z1)) / (t(z0) - t(z1)) and b_i = c_i(z0) - a_i*t(z0).
+    When the field has a point z2 in a third orbit, c(z2) is checked to lie
+    on the family.  The points come from F_q, or else from F_{q^2}, whose
+    pairs are brought back to F_q.  A group without two such orbits on
+    P^1(F_{q^2}), such as PGL(2,q) itself, gets the family of
+    :func:`orbit_polynomial`.  The lines of the elements are checked by
+    :func:`_check_distinct_lines`.
+    """
+    _check_distinct_lines(G)
+    ctx = G.ctx
+    field, images = ctx, _orbit_points(G, ctx)
+    if len(images) < 2 and (ctx.base is None or ctx.base.base is None):
+        field = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), ctx.order ** 2))
+        images = _orbit_points(G, field)
+    if len(images) < 2:
+        P = orbit_polynomial(G)
+        return P.family, P.param_index
+    c0, c1, *rest = (_expand_roots(field, roots) for roots in images)
+    param_index = next((i for i, (u, v) in enumerate(zip(c0, c1)) if u != v), None)
+    if param_index is None:
+        raise InvariantViolation("the orbit polynomial takes one value at two orbits")
+    sub, mul = field.sub, field.mul
+    scale = field.inv(sub(c0[param_index], c1[param_index]))
+    a_vec = [mul(sub(u, v), scale) for u, v in zip(c0, c1)]
+    b_vec = [sub(u, mul(a, c0[param_index])) for u, a in zip(c0, a_vec)]
+    for c2 in rest:
+        if field.addmul(b_vec, c2[param_index], a_vec) != c2:
+            raise InvariantViolation("orbit polynomial coefficients not affine in the parameter")
+    family = tuple((gf.down_cast(field.decode(a), ctx), gf.down_cast(field.decode(b), ctx))
+                   for a, b in zip(a_vec, b_vec))
+    return family, param_index
+
+
+def _orbit_points(G: go.Subgroup, field: gf.FieldCtx) -> list[list]:
+    """[g(z) for g in G] for the first three points z of field, in encoding
+    order, that lie outside the orbit of infinity and in different G-orbits;
+    fewer when field has fewer such points.  Works on encodings, which an
+    element of F_q keeps in every field above it."""
+    add, mul, inv = field.add, field.mul, field.inv
+    entries = [(s.a.rep, s.b.rep, s.c.rep, s.d.rep) for s in G.elements]
+    seen = {mul(a, inv(c)) for a, _, c, _ in entries if c}  # finite part of G(inf)
+    found = []
+    for z in range(field.order):
+        if len(found) == 3:
+            break
+        if z in seen:
+            continue
+        images = [mul(add(mul(a, z), b), inv(add(mul(c, z), d))) for a, b, c, d in entries]
+        found.append(images)
+        seen.update(images)
+    return found
+
+
+def _expand_roots(field: gf.FieldCtx, roots: list) -> list:
+    """Encoded coefficients, low to high, of the product of (T - w) over roots."""
+    neg, addmul = field.neg, field.addmul
+    acc = [1]
+    for w in roots:
+        acc = addmul([0] + acc, neg(w), acc + [0])  # T*acc - w*acc
+    return acc
 
 
 def invariant_generator(G: go.Subgroup) -> RatFunc:

@@ -166,6 +166,16 @@ class Moebius:
             current = current * self
         raise InvariantViolation("order exceeded q+1, impossible in PGL(2,q)")
 
+    def powers(self) -> list["Moebius"]:
+        """s, s^2, ..., s^n = identity for n = self.order(); the group <s>
+        without a second pass to find n."""
+        out = [self]
+        while not out[-1].is_identity():
+            if len(out) > self.ctx.order:
+                raise InvariantViolation("order exceeded q+1, impossible in PGL(2,q)")
+            out.append(out[-1] * self)
+        return out
+
     # -- action ------------------------------------------------------------------
 
     def lift_to(self, ext: gf.FieldCtx) -> "Moebius":

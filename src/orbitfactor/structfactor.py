@@ -4,9 +4,11 @@ The roots of this polynomial are exactly the points moved to their q-th power
 by s(x) = (ax+b)/(cx+d).  After the rational fixed points of s are stripped,
 every irreducible factor is the orbit polynomial of the cyclic group
 generated by s, specialized in its linear one-parameter family at some
-lambda in F_q.  The factors are found by sweeping lambda over F_q, using
-only F_q arithmetic, and the result is cross-checked against exact
-reconstruction of the input.
+lambda in F_q.  That family is read off two specializations of the orbit
+polynomial at points of P^1 (see :func:`invariants.orbit_family`), without
+expanding it over F_q(x).  The factors are found by sweeping lambda over
+F_q, using only F_q arithmetic, and the result is cross-checked against
+exact reconstruction of the input.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class StructuredFactorization:
     removed_linear: tuple[upoly.Poly, ...]
     factors: tuple[FactorEntry, ...]
     degree_r: int
-    orbit_poly: inv.OrbitPolynomial
+    family: tuple[tuple[gf.FieldElem, gf.FieldElem], ...]  # (a_i, b_i) of <s>
 
     def reconstruct(self) -> upoly.Poly:
         out = upoly.Poly.constant(self.unit)
@@ -125,9 +127,12 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     orbit polynomial of <s> specialized at one of its roots, i.e. the member
     F_lambda of the linear one-parameter family at some lambda in F_q (the
     poles of the parameter are rational, so lambda is never infinite).  The
-    factors are therefore the F_lambda that divide the remainder, found by
-    sweeping lambda over F_q; a degree-r divisor of a squarefree product of
-    degree-r irreducibles is one of them.
+    family comes from :func:`invariants.orbit_family` on the powers of s:
+    two specializations of the orbit polynomial at points in different
+    orbits, checked at a third orbit when there is one.  The factors are
+    the F_lambda that divide the remainder, found by sweeping lambda over
+    F_q; a degree-r divisor of a squarefree product of degree-r
+    irreducibles is one of them.
     """
     if s.is_identity():
         raise IdentityInputError("companion of the identity is T^q - T; nothing structured")
@@ -147,18 +152,19 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
             raise InvariantViolation("finite fixed point is not a root of the companion")
         removed.append(lin)
 
-    r = s.order()
+    G = go.Subgroup(ctx, s.powers())
+    r = len(G)
     if work.deg % r:
         raise InvariantViolation("stripped degree is not a multiple of the order")
 
-    P = inv.orbit_polynomial(go.generate(ctx, [s]))
-    if len(P.coeffs) != r + 1:
+    family, _ = inv.orbit_family(G)
+    if len(family) != r + 1:
         raise InvariantViolation("orbit polynomial degree differs from the order")
     factors = []
     for lam in ctx.elements():
         if work.deg == 0:
             break
-        candidate = upoly.Poly(ctx, [a * lam + b for a, b in P.family])
+        candidate = upoly.Poly(ctx, [a * lam + b for a, b in family])
         quotient, rem = divmod(work, candidate)
         if not rem:
             work = quotient
@@ -167,7 +173,7 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
         raise InvariantViolation("the family does not exhaust the remainder")
     factors.sort(key=lambda e: e.poly.key())
 
-    result = StructuredFactorization(ps, unit, tuple(removed), tuple(factors), r, P)
+    result = StructuredFactorization(ps, unit, tuple(removed), tuple(factors), r, family)
     if result.reconstruct() != ps:
         raise InvariantViolation("structured factors do not reconstruct the input")
     return result
@@ -216,9 +222,10 @@ def lambda_family_report(s: mo.Moebius, seed: int = 0) -> LambdaFamilyReport:
     """
     ctx = s.ctx
     q = ctx.order
-    if s.order() != q + 1:
+    G = go.Subgroup(ctx, s.powers())
+    if len(G) != q + 1:
         raise WrongOrderError(f"order must be exactly q+1 = {q + 1}")
-    phi = inv.invariant_generator(go.generate(ctx, [s]))
+    phi = inv.invariant_generator(G)
     f, g = phi.monic_pair()
     counts: dict[int, int] = {}
     for lam in ctx.elements():
@@ -247,9 +254,10 @@ def numerator_structure_check(s: mo.Moebius) -> bool:
     common denominator is x^q - x itself."""
     ctx = s.ctx
     q = ctx.order
-    if s.order() != q + 1:
+    G = go.Subgroup(ctx, s.powers())
+    if len(G) != q + 1:
         raise WrongOrderError(f"order must be exactly q+1 = {q + 1}")
-    P = inv.orbit_polynomial(go.generate(ctx, [s]))
+    P = inv.orbit_polynomial(G)
     xqx = upoly.Poly.x_pow(ctx, q) - upoly.Poly.x(ctx)
     ps = frobenius_companion(s)
     for coeff in P.coeffs:

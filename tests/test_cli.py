@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,17 @@ def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# stdout and exit code of the README factor and lambda-report commands (plus
+# factor on the quadratic-extension path, F_4, F_9 and --k 2), text and --json
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output_is_byte_identical(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 def test_factor_headline(capsys):
@@ -132,6 +144,16 @@ def test_singular_transformation_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("usage error:") and "singular" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("factor", "--p", "7", "--m", "1", "--s", "[1]x+1"),
+    ("factor", "--p", "2", "--m", "2", "--s", "[1,1,1]x+1"),
+])
+def test_element_in_the_wrong_format_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error:")
 
 
 def test_unknown_command_exit_code(capsys):

@@ -153,7 +153,7 @@ def test_extend_is_memoized_and_bounded(monkeypatch):
         gf.extension_of(F7, 2, cap=48)
 
     monkeypatch.setattr(gf, "_extend_cache", {})
-    monkeypatch.setattr(gf, "_EXTEND_CACHE_LIMIT", 3)
+    monkeypatch.setattr(gf, "_CACHE_LIMIT", 3)
     F5 = gf.prime_field(5)
     moduli = list(upoly.monic_irreducibles(F5, 2))[:5]
     fields = [gf.extend(F5, h) for h in moduli]
@@ -162,6 +162,24 @@ def test_extend_is_memoized_and_bounded(monkeypatch):
     rebuilt = gf.extend(F5, moduli[0])  # the oldest was evicted
     assert rebuilt is not fields[0] and rebuilt == fields[0]
     assert len(gf._extend_cache) == 3
+
+
+@pytest.mark.parametrize("make, cache, key_of", [
+    (gf.prime_field, "_prime_cache", lambda p: p),
+    (lambda p: gf.field_create(p, 1), "_create_cache", lambda p: (p, 1)),
+])
+def test_field_caches_are_bounded(monkeypatch, make, cache, key_of):
+    monkeypatch.setattr(gf, "_prime_cache", {})
+    monkeypatch.setattr(gf, "_create_cache", {})
+    primes = [p for p in range(257, 2000) if gf.is_prime(p)][:65]  # above the table limit
+    fields = [make(p) for p in primes]
+    held = getattr(gf, cache)
+    assert len(held) == 64 and key_of(primes[0]) not in held
+    assert make(primes[-1]) is fields[-1]
+    rebuilt = make(primes[0])  # the oldest entry was evicted
+    assert rebuilt is not fields[0] and rebuilt == fields[0]
+    assert gf.prime_field(primes[0]).one() + fields[0].one() == rebuilt.elem(2)
+    assert len(held) == 64
 
 
 def test_field_create_256_builds_its_tables_quickly():

@@ -1,7 +1,11 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orbitfactor import gf, grouporbit as go, invariants as inv, moebius as mo, upoly
-from orbitfactor.errors import PoleError, TrivialGroupError
+from orbitfactor.errors import InvariantViolation, PoleError, TrivialGroupError
 
 
 def P(ctx, *ints):
@@ -291,3 +295,114 @@ def test_orbit_polynomial_cache_is_bounded():
     assert inv.orbit_polynomial.cache_info().misses == misses
     inv.orbit_polynomial(groups[0])  # the oldest entry was evicted
     assert inv.orbit_polynomial.cache_info().misses == misses + 1
+
+
+# -- the family from two specializations ------------------------------------------
+
+FAMILY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                 (2, 4), (17, 1), (5, 2), (31, 1)]
+
+
+def _expanded(G):
+    P = inv.orbit_polynomial(G)
+    return P.family, P.param_index
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(FAMILY_FIELDS),
+       st.lists(st.integers(min_value=0, max_value=30), min_size=4, max_size=4))
+def test_orbit_family_matches_the_expansion(field, entries):
+    ctx = gf.field_create(*field)
+    a, b, c, d = (ctx.decode(v % ctx.order) for v in entries)
+    assume(a * d - b * c)
+    s = mo.Moebius(a, b, c, d)
+    G = go.generate(ctx, [s])
+    assert go.Subgroup(s.ctx, s.powers()) == G
+    assert inv.orbit_family(G) == _expanded(G)
+
+
+@pytest.mark.parametrize("field, text", [
+    ((7, 1), "(3x-1)/(x+3)"),   # nonsplit of order q+1: transitive on P^1(F_7)
+    ((2, 2), "(1)/(x+[0,1])"),  # nonsplit of order q+1 = 5 over F_4
+    ((5, 1), "x+1"),            # unipotent: one orbit besides {inf} in P^1(F_5)
+    ((2, 1), "x+1"),
+    ((3, 1), "(2x+1)/(x+1)"),   # two orbits of order (q+1)/2, one of them G(inf)
+])
+def test_orbit_family_from_the_quadratic_extension(field, text):
+    ctx = gf.field_create(*field)
+    s = mo.parse_moebius(ctx, text)
+    G = go.Subgroup(s.ctx, s.powers())
+    assert len(inv._orbit_points(G, ctx)) < 2
+    assert len(inv._orbit_points(G, gf.extension_of(ctx, 2))) >= 2
+    misses = inv.orbit_polynomial.cache_info().misses
+    family, param_index = inv.orbit_family(G)
+    assert inv.orbit_polynomial.cache_info().misses == misses  # nothing was expanded
+    assert (family, param_index) == _expanded(G)
+    assert all(a.ctx == ctx and b.ctx == ctx for a, b in family)
+
+
+def test_orbit_family_of_groups_with_few_orbits(F3, F4, F5):
+    # PGL(2,3) has no two usable orbits even on P^1(F_9), and a tower
+    # F_4 -> F_16 has no quadratic extension; dihedral groups do fine
+    groups = [go.full_pgl(F3)]
+    for ctx in (F3, F5):
+        groups.append(go.generate(ctx, [mo.parse_moebius(ctx, "-x"),
+                                        mo.parse_moebius(ctx, "(1)/(x)")]))
+    F16 = gf.extension_of(F4, 2)
+    s = next(s for s in go.full_pgl(F16) if s.order() == 17)  # transitive on P^1(F_16)
+    groups.append(go.Subgroup(s.ctx, s.powers()))
+    for G in groups:
+        assert inv.orbit_family(G) == _expanded(G)
+
+
+def _lines_collide_pairwise(G):
+    """The former O(r^2) line-collision test, as a reference."""
+    def proportional(f, g):
+        return f.deg == g.deg and f.monic() == g.monic()
+
+    lines = [(upoly.Poly(G.ctx, (s.b, s.a)), upoly.Poly(G.ctx, (s.d, s.c))) for s in G]
+    return any(proportional(u1, u2) or proportional(v1, v2)
+               for (u1, v1), (u2, v2) in itertools.combinations(lines, 2))
+
+
+def test_line_check_raises_exactly_on_proportional_lines(F7):
+    # random sets of 4 elements (4 divides q+1 = 8), one of them of order 4,
+    # so that the set passes for cyclic
+    rng = random.Random(0)
+    elements = sorted(go.full_pgl(F7), key=lambda s: s.key())
+    order_four = [s for s in elements if s.order() == 4]
+    raised = kept = 0
+    for _ in range(200):
+        G = go.Subgroup(F7, [rng.choice(order_four)] + rng.sample(elements, 3))
+        if len(G) < 4:
+            continue
+        assert G.is_cyclic()
+        if _lines_collide_pairwise(G):
+            with pytest.raises(InvariantViolation):
+                inv._check_distinct_lines(G)
+            raised += 1
+        else:
+            inv._check_distinct_lines(G)
+            kept += 1
+    assert raised and kept
+
+
+def test_orbit_family_checks_a_third_orbit(monkeypatch):
+    # <3x> over F_13 has order 3: the fixed point 0 and the orbits of 1 and 2
+    F13 = gf.prime_field(13)
+    s = mo.parse_moebius(F13, "3x")
+    G = go.Subgroup(F13, s.powers())
+    assert len(inv._orbit_points(G, F13)) == 3
+    expand = inv._expand_roots
+    calls = []
+
+    def bent_third(field, roots):
+        out = expand(field, roots)
+        calls.append(roots)
+        if len(calls) == 3:
+            out[1] = field.add(out[1], 1)  # c_1(z2) off the family
+        return out
+
+    monkeypatch.setattr(inv, "_expand_roots", bent_third)
+    with pytest.raises(InvariantViolation, match="not affine"):
+        inv.orbit_family(G)

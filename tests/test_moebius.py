@@ -78,6 +78,8 @@ def test_order_divides_q_minus_p_plus(p, m):
     allowed.add(ctx.p)
     for s in go.full_pgl(ctx):
         assert s.order() in allowed
+        powers = s.powers()
+        assert len(powers) == s.order() and powers[0] == s and powers[-1].is_identity()
 
 
 def test_fixed_points_translation(F7):
