@@ -3,17 +3,20 @@
 The orbit polynomial of G is the monic degree-|G| polynomial in T whose roots
 are the images of x under G; its nonconstant coefficients share a single
 denominator A(x) and any one of them generates the invariant function field.
-All nonconstant coefficients are affine in any fixed one, which yields the
-linear one-parameter family attached to G.  :func:`orbit_polynomial` expands
-the coefficients as rational functions; :func:`orbit_family` reads only the
-family off two specializations of the polynomial at points of P^1.
+All coefficients are affine in the first nonconstant one, t, which yields
+the linear one-parameter family attached to G.  :func:`orbit_family` reads
+the family off two orbits: the orbit of infinity, where t has its poles,
+gives the slopes, and one more orbit gives the constants, each a product of
+|G| linear factors, O(|G|^2) operations in F_q or F_{q^2}.
+:func:`orbit_polynomial` builds the rational-function coefficients from the
+family in closed form, without a gcd.  Only a group transitive on P^1(F_q)
+over a two-step tower falls back to expanding over F_q(x), O(|G|^3).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 from . import gf, grouporbit as go, moebius as mo, upoly
 from .errors import (
@@ -47,6 +50,14 @@ class RatFunc:
             num, den = num.scale(inv), den.scale(inv)
         self.num = num
         self.den = den
+
+    @classmethod
+    def coprime(cls, num: upoly.Poly, den: upoly.Poly) -> "RatFunc":
+        """num/den for coprime num and monic den (den = 1 when num = 0), as
+        given: no gcd is taken."""
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        return out
 
     @classmethod
     def from_poly(cls, f: upoly.Poly) -> "RatFunc":
@@ -248,75 +259,26 @@ def family_text(family: tuple) -> str:
 
 @functools.lru_cache(maxsize=64)
 def orbit_polynomial(G: go.Subgroup) -> OrbitPolynomial:
-    """Expand the product over s in G of (T - s(x)) with exact arithmetic.
+    """The product over g in G of (T - g(x)), built from its family.
 
-    Computed in F_q[x][T] via the product of ((c_s x + d_s) T - (a_s x + b_s))
-    and division of every T-coefficient by A(x), the product of the
-    denominators.  The lines of the elements are checked by
-    :func:`_check_distinct_lines`.
+    With (a_i, b_i) from :func:`orbit_family`, every coefficient is
+    c_i = a_i*t + b_i, and x is a root, so t*Ahat(x) + B(x) = 0 for
+    Ahat = sum of a_i x^i and B = sum of b_i x^i: t = -B/Ahat, and
+    c_i = (b_i*Ahat - a_i*B)/Ahat.  The roots of Ahat are the finite points w
+    of G(inf), where B(w) = prod over g of (w - g(z)) is nonzero for the z of
+    the family; so each fraction is reduced as it stands and no gcd is
+    taken.  O(|G|^2) operations in F_q beyond the family.
     """
+    family, param_index = orbit_family(G)
     ctx = G.ctx
-    m = len(G)
-    zero_poly = upoly.Poly.zero(ctx)
-    # product over s of (v_s(x) * T - u_s(x)), tracked as T-coefficients in F_q[x]
-    acc = [upoly.Poly.one(ctx)]
-    for s in G.elements:
-        u = upoly.Poly(ctx, (s.b, s.a))
-        v = upoly.Poly(ctx, (s.d, s.c))
-        nxt = [zero_poly] * (len(acc) + 1)
-        for i, coeff in enumerate(acc):
-            if coeff:
-                nxt[i + 1] = nxt[i + 1] + coeff * v
-                nxt[i] = nxt[i] - coeff * u
-        acc = nxt
-    _check_distinct_lines(G)
-    A = acc[m]
-    coeffs = tuple(RatFunc(B, A) for B in acc)
-    if coeffs[m] != RatFunc.constant(ctx.one()):
-        raise InvariantViolation("orbit polynomial is not monic")
-    common_den: Optional[upoly.Poly] = None
-    for coeff in coeffs:
-        if coeff.is_constant():
-            continue
-        if coeff.num.deg != m or coeff.den.deg >= m:
-            raise InvariantViolation("nonconstant coefficient with wrong degrees")
-        if common_den is None:
-            common_den = coeff.den
-        elif coeff.den != common_den:
-            raise InvariantViolation("nonconstant coefficients disagree on denominator")
-    return OrbitPolynomial(G, coeffs, _extract_family(coeffs), _param_index(coeffs))
-
-
-def _param_index(coeffs: tuple[RatFunc, ...]) -> int:
-    for i, coeff in enumerate(coeffs):
-        if not coeff.is_constant():
-            return i
-    raise InvariantViolation("all orbit-polynomial coefficients are constant")
-
-
-def _extract_family(coeffs: tuple[RatFunc, ...]) -> tuple:
-    """Affine pairs (a_i, b_i) with coeff_i = a_i * t + b_i for the parameter t."""
-    ctx = coeffs[0].ctx
-    idx = _param_index(coeffs)
-    t = coeffs[idx]
-    B_t, A = t.num, t.den
-    zero, one = ctx.zero(), ctx.one()
-    out = []
-    for coeff in coeffs:
-        if coeff.is_constant():
-            out.append((zero, coeff.constant_value()))
-            continue
-        lam = coeff.num.lc() / B_t.lc()
-        residual = coeff.num - B_t.scale(lam)
-        if not residual:
-            mu = zero
-        else:
-            quotient, rem = divmod(residual, A)
-            if rem or quotient.deg > 0:
-                raise InvariantViolation("coefficient is not affine in the parameter")
-            mu = quotient.coeffs[0]
-        out.append((lam, mu))
-    return tuple(out)
+    a_hat = upoly.Poly(ctx, [a for a, _ in family])
+    B = upoly.Poly(ctx, [b for _, b in family])
+    lead = a_hat.lc().inverse()
+    den, one = a_hat.scale(lead), upoly.Poly.one(ctx)
+    coeffs = tuple(RatFunc.coprime(den.scale(b) - B.scale(a * lead), den) if a
+                   else RatFunc.coprime(upoly.Poly(ctx, (b,)), one)
+                   for a, b in family)
+    return OrbitPolynomial(G, coeffs, family, param_index)
 
 
 def _check_distinct_lines(G: go.Subgroup) -> None:
@@ -340,65 +302,85 @@ def _check_distinct_lines(G: go.Subgroup) -> None:
 
 
 def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
-    """(family, param_index) of the orbit polynomial of G, without expanding it.
+    """(family, param_index) of the orbit polynomial of G: the pairs
+    (a_i, b_i) with c_i = a_i*t + b_i for its coefficients c_i and the
+    parameter t = c_j, j = param_index.
 
-    At a point z outside the orbit of infinity every coefficient c_i is
-    finite, and the orbit polynomial specializes to c(z) = prod over g in G
-    of (T - g(z)), O(|G|^2) field operations.  The parameter t separates
-    G-orbits, so at points z0, z1 in different orbits c_i(z0) = c_i(z1)
-    exactly for the constant coefficients: param_index is the first i where
-    they differ, and c_i = a_i*t + b_i gives
-    a_i = (c_i(z0) - c_i(z1)) / (t(z0) - t(z1)) and b_i = c_i(z0) - a_i*t(z0).
-    When the field has a point z2 in a third orbit, c(z2) is checked to lie
-    on the family.  The points come from F_q, or else from F_{q^2}, whose
-    pairs are brought back to F_q.  A group without two such orbits on
-    P^1(F_{q^2}), such as PGL(2,q) itself, gets the family of
-    :func:`orbit_polynomial`.  The lines of the elements are checked by
+    Read off two orbits.  As x tends to infinity, P(T)/t tends to a multiple
+    of A(T) = prod over the g with g(inf) != inf of (T - g(inf)), a
+    polynomial over F_q of degree |G| - |G_inf|; so a_i = A_i/A_j, where j is
+    the first i with A_i != 0.  At a point z outside G(inf) every c_i is
+    finite and P specializes to c(T) = prod over g in G of (T - g(z)), so
+    b_i = c_i(z) - a_i*c_j(z).  z is the first point of F_q, in encoding
+    order, outside G(inf), or else the first of F_{q^2}; one exists there
+    because G(inf) lies in P^1(F_q).  When the same field has a point z2 in a
+    third orbit, c(z2) is checked to lie on the family, and the
+    orbit-stabilizer identity |G(inf)|*|G_inf| = |G| is checked at infinity.
+    Each product costs O(|G|^2) operations in F_q or F_{q^2}; the b_i are
+    brought back to F_q.  The lines of the elements are checked by
     :func:`_check_distinct_lines`.
+
+    The one fallback: over a two-step tower (such as F_4 -> F_16), which has
+    no quadratic extension here, a G transitive on P^1(F_q) leaves no point
+    to specialize at, and the b_i are read off the product of
+    (c_g*x + d_g)*T - (a_g*x + b_g) over G in F_q[x][T], O(|G|^3).
     """
     _check_distinct_lines(G)
     ctx = G.ctx
-    field, images = ctx, _orbit_points(G, ctx)
-    if len(images) < 2 and (ctx.base is None or ctx.base.base is None):
-        field = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), ctx.order ** 2))
-        images = _orbit_points(G, field)
-    if len(images) < 2:
-        P = orbit_polynomial(G)
-        return P.family, P.param_index
-    c0, c1, *rest = (_expand_roots(field, roots) for roots in images)
-    param_index = next((i for i, (u, v) in enumerate(zip(c0, c1)) if u != v), None)
-    if param_index is None:
-        raise InvariantViolation("the orbit polynomial takes one value at two orbits")
-    sub, mul = field.sub, field.mul
-    scale = field.inv(sub(c0[param_index], c1[param_index]))
-    a_vec = [mul(sub(u, v), scale) for u, v in zip(c0, c1)]
-    b_vec = [sub(u, mul(a, c0[param_index])) for u, a in zip(c0, a_vec)]
-    for c2 in rest:
-        if field.addmul(b_vec, c2[param_index], a_vec) != c2:
-            raise InvariantViolation("orbit polynomial coefficients not affine in the parameter")
-    family = tuple((gf.down_cast(field.decode(a), ctx), gf.down_cast(field.decode(b), ctx))
-                   for a, b in zip(a_vec, b_vec))
-    return family, param_index
-
-
-def _orbit_points(G: go.Subgroup, field: gf.FieldCtx) -> list[list]:
-    """[g(z) for g in G] for the first three points z of field, in encoding
-    order, that lie outside the orbit of infinity and in different G-orbits;
-    fewer when field has fewer such points.  Works on encodings, which an
-    element of F_q keeps in every field above it."""
-    add, mul, inv = field.add, field.mul, field.inv
+    m = len(G)
     entries = [(s.a.rep, s.b.rep, s.c.rep, s.d.rep) for s in G.elements]
-    seen = {mul(a, inv(c)) for a, _, c, _ in entries if c}  # finite part of G(inf)
-    found = []
-    for z in range(field.order):
-        if len(found) == 3:
+    at_inf = [ctx.mul(a, ctx.inv(c)) for a, _, c, _ in entries if c]  # the g(inf) != inf
+    seen = set(at_inf)
+    if (len(seen) + 1) * (m - len(at_inf)) != m:
+        raise InvariantViolation("orbit-stabilizer identity fails at infinity")
+    A = _expand_roots(ctx, at_inf)
+    j = next(i for i, a in enumerate(A) if a)
+    scale = ctx.inv(A[j])
+    a_vec = [ctx.mul(a, scale) for a in A] + [0] * (m - len(at_inf))
+    field = ctx
+    if len(seen) == ctx.order:  # G(inf) is all of P^1(F_q)
+        if ctx.base is not None and ctx.base.base is not None:
+            return _expanded_family(G, a_vec, j), j
+        field = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), ctx.order ** 2))
+    add, mul, inv = field.add, field.mul, field.inv
+    orbits = []
+    for z in range(field.order):  # encodings of F_q come first, and keep their value
+        if len(orbits) == 2:
             break
-        if z in seen:
-            continue
-        images = [mul(add(mul(a, z), b), inv(add(mul(c, z), d))) for a, b, c, d in entries]
-        found.append(images)
-        seen.update(images)
-    return found
+        if z not in seen:
+            images = [mul(add(mul(a, z), b), inv(add(mul(c, z), d))) for a, b, c, d in entries]
+            orbits.append(images)
+            seen.update(images)
+    c, *rest = (_expand_roots(field, images) for images in orbits)
+    b_vec = field.addmul(c, field.neg(c[j]), a_vec)
+    for c2 in rest:
+        if field.addmul(b_vec, c2[j], a_vec) != c2:
+            raise InvariantViolation("orbit polynomial coefficients not affine in the parameter")
+    family = tuple((ctx.decode(a), gf.down_cast(field.decode(b), ctx))
+                   for a, b in zip(a_vec, b_vec))
+    return family, j
+
+
+def _expanded_family(G: go.Subgroup, a_vec: list, j: int) -> tuple:
+    """The family of :func:`orbit_family` with the b_i read off the expanded
+    orbit polynomial: the product of (c_g*x + d_g)*T - (a_g*x + b_g) over G in
+    F_q[x][T], each T-coefficient divided by the leading one."""
+    ctx = G.ctx
+    zero_poly = upoly.Poly.zero(ctx)
+    acc = [upoly.Poly.one(ctx)]
+    for s in G.elements:
+        u = upoly.Poly(ctx, (s.b, s.a))
+        v = upoly.Poly(ctx, (s.d, s.c))
+        nxt = [zero_poly] * (len(acc) + 1)
+        for i, coeff in enumerate(acc):
+            if coeff:
+                nxt[i + 1] = nxt[i + 1] + coeff * v
+                nxt[i] = nxt[i] - coeff * u
+        acc = nxt
+    coeffs = [RatFunc(B, acc[-1]) for B in acc]
+    # constant_value raises when c_i - a_i*t is not constant
+    return tuple((ctx.decode(a), (coeff - coeffs[j] * ctx.decode(a)).constant_value())
+                 for a, coeff in zip(a_vec, coeffs))
 
 
 def _expand_roots(field: gf.FieldCtx, roots: list) -> list:

@@ -4,9 +4,9 @@ The roots of this polynomial are exactly the points moved to their q-th power
 by s(x) = (ax+b)/(cx+d).  After the rational fixed points of s are stripped,
 every irreducible factor is the orbit polynomial of the cyclic group
 generated by s, specialized in its linear one-parameter family at some
-lambda in F_q.  That family is read off two specializations of the orbit
-polynomial at points of P^1 (see :func:`invariants.orbit_family`), without
-expanding it over F_q(x).  The factors are found by sweeping lambda over
+lambda in F_q.  That family is read off two orbits, the orbit of infinity
+and one more (see :func:`invariants.orbit_family`), without expanding the
+orbit polynomial over F_q(x).  The factors are found by sweeping lambda over
 F_q, using only F_q arithmetic, and the result is cross-checked against
 exact reconstruction of the input.
 """
@@ -128,8 +128,8 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     F_lambda of the linear one-parameter family at some lambda in F_q (the
     poles of the parameter are rational, so lambda is never infinite).  The
     family comes from :func:`invariants.orbit_family` on the powers of s:
-    two specializations of the orbit polynomial at points in different
-    orbits, checked at a third orbit when there is one.  The factors are
+    the orbit of infinity gives its slopes and one more orbit its
+    constants, checked at a third orbit when there is one.  The factors are
     the F_lambda that divide the remainder, found by sweeping lambda over
     F_q; a degree-r divisor of a squarefree product of degree-r
     irreducibles is one of them.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from orbitfactor import classes as cl
-from orbitfactor import gf, grouporbit as go, moebius as mo
+from orbitfactor import gf, grouporbit as go, invariants as inv, moebius as mo
 from orbitfactor import structfactor as sf
 from orbitfactor.errors import CtxMismatchError
 
@@ -127,6 +127,13 @@ def test_conjugacy_classes_time_budget(p, m):
     print(f"[conjugacy_classes q={ctx.order}] {elapsed:.2f}s / limit {limit_s:g}s")
     assert len(labels) == ctx.order + (2 if ctx.p != 2 else 1)
     assert elapsed < limit_s
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_canonical_generator_is_the_closed_form(p, m):
+    # Dickson's closed form, computed apart from any orbit polynomial
+    ctx = gf.field_create(p, m)
+    assert cl.canonical_generator(ctx) == 2 - inv.pgl_generator(ctx, validate=False)
 
 
 def test_infinity_maps_to_identity(F3):

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,9 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-# stdout and exit code of the README factor and lambda-report commands (plus
-# factor on the quadratic-extension path, F_4, F_9 and --k 2), text and --json
+# stdout and exit code of the README factor, lambda-report, orbit-poly and
+# invariant --gens commands (plus factor on the quadratic-extension path, F_4,
+# F_9 and --k 2, and orbit-poly over a generating set of PGL(2,5)), text and --json
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -99,6 +101,19 @@ def test_orbit_poly(capsys):
                            "--gens", "(-x-1)/(x-1)")
     assert code == 0
     assert "family:" in out
+
+
+def test_orbit_poly_of_pgl_7_time_budget(capsys):
+    # a generating set of PGL(2,7), |G| = 336: the expansion over F_7(x)
+    # took about 22 s on a 2-vCPU host
+    limit_s = 5.0
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "orbit-poly", "--p", "7", "--m", "1",
+                           "--gens", "x+1", "3x", "(1)/(x)")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.startswith("group order: 336\n")
+    assert elapsed < limit_s, f"orbit-poly over PGL(2,7) took {elapsed:.2f}s"
 
 
 def test_json_round_trip(capsys):

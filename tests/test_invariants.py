@@ -297,62 +297,133 @@ def test_orbit_polynomial_cache_is_bounded():
     assert inv.orbit_polynomial.cache_info().misses == misses + 1
 
 
-# -- the family from two specializations ------------------------------------------
+# -- the family from two orbits ----------------------------------------------------
 
 FAMILY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
                  (2, 4), (17, 1), (5, 2), (31, 1)]
 
 
 def _expanded(G):
-    P = inv.orbit_polynomial(G)
-    return P.family, P.param_index
+    """(coeffs, family, param_index) of the orbit polynomial by the O(|G|^3)
+    expansion: the product of (c_g*x + d_g)*T - (a_g*x + b_g) over G in
+    F_q[x][T], each T-coefficient reduced over the leading one, and the
+    family read off the reduced coefficients.  A reference only."""
+    ctx = G.ctx
+    acc = [upoly.Poly.one(ctx)]
+    for s in G:
+        u, v = upoly.Poly(ctx, (s.b, s.a)), upoly.Poly(ctx, (s.d, s.c))
+        nxt = [upoly.Poly.zero(ctx)] * (len(acc) + 1)
+        for i, coeff in enumerate(acc):
+            nxt[i + 1] = nxt[i + 1] + coeff * v
+            nxt[i] = nxt[i] - coeff * u
+        acc = nxt
+    coeffs = tuple(inv.RatFunc(B, acc[-1]) for B in acc)
+    param_index = next(i for i, c in enumerate(coeffs) if not c.is_constant())
+    t = coeffs[param_index]
+    family = []
+    for coeff in coeffs:
+        if coeff.is_constant():
+            family.append((ctx.zero(), coeff.constant_value()))
+            continue
+        lam = coeff.num.lc() / t.num.lc()
+        quotient, rem = divmod(coeff.num - t.num.scale(lam), t.den)
+        assert not rem and quotient.deg <= 0
+        family.append((lam, quotient.coeffs[0] if quotient else ctx.zero()))
+    return coeffs, tuple(family), param_index
+
+
+def _assert_matches_the_expansion(G):
+    Pg = inv.orbit_polynomial(G)
+    coeffs, family, param_index = _expanded(G)
+    assert (Pg.coeffs, Pg.family, Pg.param_index) == (coeffs, family, param_index)
+    assert inv.orbit_family(G) == (family, param_index)
+    assert all(a.ctx == G.ctx and b.ctx == G.ctx for a, b in family)
+
+
+def _closure(ctx, gens, limit=130):
+    """<gens> by breadth-first closure, or None once it has more than limit elements."""
+    seen = {mo.Moebius.identity(ctx)}
+    frontier = list(seen)
+    while frontier and len(seen) <= limit:
+        nxt = []
+        for s in frontier:
+            for g in gens:
+                t = g.compose(s)
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return go.Subgroup(ctx, seen) if len(seen) <= limit else None
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.sampled_from(FAMILY_FIELDS),
-       st.lists(st.integers(min_value=0, max_value=30), min_size=4, max_size=4))
-def test_orbit_family_matches_the_expansion(field, entries):
+       st.lists(st.lists(st.integers(min_value=0, max_value=30), min_size=4, max_size=4),
+                min_size=1, max_size=2))
+def test_orbit_family_matches_the_expansion(field, generators):
     ctx = gf.field_create(*field)
-    a, b, c, d = (ctx.decode(v % ctx.order) for v in entries)
-    assume(a * d - b * c)
-    s = mo.Moebius(a, b, c, d)
-    G = go.generate(ctx, [s])
-    assert go.Subgroup(s.ctx, s.powers()) == G
-    assert inv.orbit_family(G) == _expanded(G)
+    gens = []
+    for entries in generators:
+        a, b, c, d = (ctx.decode(v % ctx.order) for v in entries)
+        assume(a * d - b * c)
+        gens.append(mo.Moebius(a, b, c, d))
+    G = _closure(ctx, gens)
+    assume(G is not None)
+    assert G == go.generate(ctx, gens)
+    if len(gens) == 1:
+        assert go.Subgroup(ctx, gens[0].powers()) == G
+    _assert_matches_the_expansion(G)
 
 
+# the transitive elements need z from F_{q^2}; the others find z in F_q
 @pytest.mark.parametrize("field, text", [
     ((7, 1), "(3x-1)/(x+3)"),   # nonsplit of order q+1: transitive on P^1(F_7)
     ((2, 2), "(1)/(x+[0,1])"),  # nonsplit of order q+1 = 5 over F_4
-    ((5, 1), "x+1"),            # unipotent: one orbit besides {inf} in P^1(F_5)
+    ((5, 1), "x+1"),            # unipotent: G(inf) = {inf}
     ((2, 1), "x+1"),
     ((3, 1), "(2x+1)/(x+1)"),   # two orbits of order (q+1)/2, one of them G(inf)
 ])
-def test_orbit_family_from_the_quadratic_extension(field, text):
+def test_orbit_family_from_the_quadratic_extension(monkeypatch, field, text):
     ctx = gf.field_create(*field)
     s = mo.parse_moebius(ctx, text)
     G = go.Subgroup(s.ctx, s.powers())
-    assert len(inv._orbit_points(G, ctx)) < 2
-    assert len(inv._orbit_points(G, gf.extension_of(ctx, 2))) >= 2
-    misses = inv.orbit_polynomial.cache_info().misses
-    family, param_index = inv.orbit_family(G)
-    assert inv.orbit_polynomial.cache_info().misses == misses  # nothing was expanded
-    assert (family, param_index) == _expanded(G)
-    assert all(a.ctx == ctx and b.ctx == ctx for a, b in family)
+    transitive = len(go.orbit_of(G, mo.INFINITY)) == ctx.order + 1
+    built, extension_of = [], gf.extension_of
+
+    def recording(base, k, cap=None):
+        built.append((base, k))
+        return extension_of(base, k, cap=cap)
+
+    monkeypatch.setattr(gf, "extension_of", recording)
+    inv.orbit_family(G)
+    assert built == ([(ctx, 2)] if transitive else [])
+    _assert_matches_the_expansion(G)
 
 
-def test_orbit_family_of_groups_with_few_orbits(F3, F4, F5):
-    # PGL(2,3) has no two usable orbits even on P^1(F_9), and a tower
-    # F_4 -> F_16 has no quadratic extension; dihedral groups do fine
-    groups = [go.full_pgl(F3)]
-    for ctx in (F3, F5):
-        groups.append(go.generate(ctx, [mo.parse_moebius(ctx, "-x"),
+def test_orbit_family_of_groups_with_few_orbits(monkeypatch, F3, F4, F5):
+    groups = [go.full_pgl(ctx) for ctx in (gf.prime_field(2), F3, F4, F5)]
+    groups.append(go.a5_subgroup(gf.prime_field(11)))
+    # dihedral: order 4 over F_3 and F_5, 16 over F_7 (a nonsplit rotation of
+    # order 8, transitive on P^1(F_7)) and 10 over F_11 (a split one of order 5)
+    for p, rotation in ((3, "-x"), (5, "-x"), (7, "(3x-1)/(x+3)"), (11, "3x")):
+        ctx = gf.prime_field(p)
+        groups.append(go.generate(ctx, [mo.parse_moebius(ctx, rotation),
                                         mo.parse_moebius(ctx, "(1)/(x)")]))
+    # a tower F_4 -> F_16 has no quadratic extension here, so a transitive
+    # group there is the one case that expands over F_q(x)
     F16 = gf.extension_of(F4, 2)
-    s = next(s for s in go.full_pgl(F16) if s.order() == 17)  # transitive on P^1(F_16)
-    groups.append(go.Subgroup(s.ctx, s.powers()))
-    for G in groups:
-        assert inv.orbit_family(G) == _expanded(G)
+    s = next(s for s in go.full_pgl(F16) if s.order() == 17)
+    tower = go.Subgroup(s.ctx, s.powers())
+    expanded, expand = [], inv._expanded_family
+
+    def recording(G, a_vec, j):
+        expanded.append(G)
+        return expand(G, a_vec, j)
+
+    monkeypatch.setattr(inv, "_expanded_family", recording)
+    for G in groups + [tower]:
+        _assert_matches_the_expansion(G)
+    assert set(expanded) == {tower}
 
 
 def _lines_collide_pairwise(G):
@@ -388,17 +459,17 @@ def test_line_check_raises_exactly_on_proportional_lines(F7):
 
 
 def test_orbit_family_checks_a_third_orbit(monkeypatch):
-    # <3x> over F_13 has order 3: the fixed point 0 and the orbits of 1 and 2
+    # <3x> over F_13 has order 3 and fixes infinity: the fixed point 0 gives
+    # the constants, and the orbit of 1 is a third orbit
     F13 = gf.prime_field(13)
     s = mo.parse_moebius(F13, "3x")
     G = go.Subgroup(F13, s.powers())
-    assert len(inv._orbit_points(G, F13)) == 3
     expand = inv._expand_roots
     calls = []
 
     def bent_third(field, roots):
         out = expand(field, roots)
-        calls.append(roots)
+        calls.append(sorted(roots))
         if len(calls) == 3:
             out[1] = field.add(out[1], 1)  # c_1(z2) off the family
         return out
@@ -406,3 +477,14 @@ def test_orbit_family_checks_a_third_orbit(monkeypatch):
     monkeypatch.setattr(inv, "_expand_roots", bent_third)
     with pytest.raises(InvariantViolation, match="not affine"):
         inv.orbit_family(G)
+    assert calls == [[], [0, 0, 0], [1, 3, 9]]  # A(T), c(0), c(1)
+
+
+def test_orbit_family_checks_the_stabilizer_at_infinity(F5):
+    # the dihedral group {x, -x, 1/x, -1/x} has G(inf) = {inf, 0} and
+    # G_inf = {x, -x}; without -x the count at infinity is bent
+    G = go.generate(F5, [mo.parse_moebius(F5, "-x"), mo.parse_moebius(F5, "(1)/(x)")])
+    inv.orbit_family(G)
+    bent = go.Subgroup(F5, [g for g in G if g != mo.parse_moebius(F5, "-x")])
+    with pytest.raises(InvariantViolation, match="orbit-stabilizer"):
+        inv.orbit_family(bent)
