@@ -6,10 +6,13 @@ conjugation leave unchanged, plus a flag for the identity and, at trace zero
 for odd q, for the square class of -det; one pass over the group builds the
 classes and `class_of` is a key lookup.
 
-Each value of the degree-|G| invariant generator on a regular orbit picks out
-one conjugacy class of elements of order > 2; infinity corresponds to the
-identity class and the value on the quadratic orbit to the involutions, which
-form one class for even q and two for odd q.
+An invariant value lambda of PGL(2,q) picks out the class of the element
+sending a root alpha of f - lambda*g to alpha^q: the generator 2 - pgl_generator
+takes at alpha the value lambda = 2 - tr^2/det of that element, equivalently
+-(rho + 1/rho) for its eigenvalue ratio rho, so the class is the one keyed by
+2 - lambda.  Infinity corresponds to the identity class and lambda = 2, the
+value on the quadratic orbit, to the involutions, which form one class for
+even q and two for odd q.
 
 The Lang equation s = sigma(t)^(-1) t is solved from its solution line:
 X_s = {z : s(z) = z^q} is t^(-1)(P^1(F_q)), so every cross-ratio of four
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from . import gf, grouporbit as go, invariants as inv, moebius as mo
+from . import gf, grouporbit as go, moebius as mo
 from . import structfactor as sf
 from . import upoly
 from .errors import CtxMismatchError, InvariantViolation
@@ -145,52 +148,33 @@ def class_of(ctx: gf.FieldCtx, s: mo.Moebius) -> ClassLabel:
     return _classes_by_key(ctx)[1][_class_key(s)]
 
 
-@functools.lru_cache(maxsize=64)
-def canonical_generator(ctx: gf.FieldCtx) -> inv.RatFunc:
-    """Invariant generator of the full group used for the correspondence."""
-    return inv.invariant_generator(go.full_pgl(ctx))
-
-
-@functools.lru_cache(maxsize=64)
 def quadratic_orbit_value(ctx: gf.FieldCtx) -> gf.FieldElem:
-    """mu = phi(gamma) for the least gamma in F_{q^2} outside F_q; the common
-    invariant value of the whole quadratic orbit."""
-    phi = canonical_generator(ctx)
-    ext2 = gf.extension_of(ctx, 2)
-    gamma = next(v for v in ext2.elements() if not gf.in_subfield(v, ctx))
-    value = phi.eval_point(mo.ProjPoint(gamma))
-    if value.value is None:
-        raise InvariantViolation("phi has a pole on the quadratic orbit")
-    return gf.down_cast(value.value, ctx)
+    """mu = 2 (0 in characteristic 2), the common invariant value of the
+    quadratic orbit: the element sending a point of F_{q^2} outside F_q to
+    its conjugate is an involution, and its trace is 0."""
+    return ctx.elem(2)
 
 
 def class_of_lambda(ctx: gf.FieldCtx, lam: mo.ProjPoint
                     ) -> Union[ClassLabel, AmbiguousInvolutions]:
     """The conjugacy class associated with one invariant value.
 
-    Infinity maps to the identity class.  The quadratic-orbit value maps to
-    the single involution class for even q, and for odd q to an explicit
-    both-classes answer.  Every other value is realized on a regular orbit
-    and picks the class of the element sending a root to its q-th power.
+    A finite lambda is 2 - tr^2/det of the element sending a root of
+    f - lambda*g to its q-th power, so its class is the one keyed by
+    tr^2/det = 2 - lambda.  Infinity maps to the identity class.  At
+    lambda = 2 (trace zero) that key names the single involution class for
+    even q; for odd q both involution classes share it, and the answer is
+    explicitly both.
     """
-    classes = conjugacy_classes(ctx)
+    classes, by_key = _classes_by_key(ctx)
     if lam.value is None:
         return next(c for c in classes if c.kind is ClassKind.IDENTITY)
-    lam_val = gf.down_cast(lam.value, ctx)
-    mu = quadratic_orbit_value(ctx)
-    if lam_val == mu:
-        if ctx.p == 2:
-            return next(c for c in classes if c.order == 2)
+    kappa = ctx.elem(2) - gf.down_cast(lam.value, ctx)
+    if not kappa and ctx.p != 2:
         split = next(c for c in classes if c.kind is ClassKind.SPLIT_INVOLUTION)
         nonsplit = next(c for c in classes if c.kind is ClassKind.NONSPLIT_INVOLUTION)
-        return AmbiguousInvolutions(mu, split, nonsplit)
-    phi = canonical_generator(ctx)
-    f, g = phi.monic_pair()
-    target = f - g.scale(lam_val)
-    h = upoly.least_degree_factor(target)
-    ext, alpha = sf.root_extension(ctx, h)
-    witness = sf.find_s_for_alpha(go.full_pgl(ctx), alpha, phi)
-    return class_of(ctx, witness)
+        return AmbiguousInvolutions(quadratic_orbit_value(ctx), split, nonsplit)
+    return by_key[(kappa.encode(), False)]
 
 
 @dataclass(frozen=True)
@@ -205,7 +189,7 @@ def factor_pattern_of_class(ctx: gf.FieldCtx, lam: gf.FieldElem) -> FactorPatter
     |G|/r irreducibles of degree r on regular orbits, and the quadratic
     pattern with multiplicity q+1 on the non-regular one."""
     q = ctx.order
-    if lam == quadratic_orbit_value(ctx):
+    if lam == ctx.elem(2):
         return FactorPattern(2, (q * q - q) // 2, q + 1)
     label = class_of_lambda(ctx, mo.ProjPoint(lam))
     if isinstance(label, AmbiguousInvolutions):

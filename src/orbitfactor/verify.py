@@ -184,12 +184,17 @@ def _ex_q4_correspondence() -> str:
     ident = cl.class_of_lambda(ctx, mo.INFINITY)
     _expect(ident.kind is cl.ClassKind.IDENTITY, "infinity labels the identity class")
     mu = cl.quadratic_orbit_value(ctx)
+    G = go.full_pgl(ctx)
     seen = set()
     for v in ctx.elements():
         label = cl.class_of_lambda(ctx, mo.ProjPoint(v))
         _expect(isinstance(label, cl.ClassLabel), "even q never ambiguous")
         if v == mu:
             _expect(label.order == 2, "mu labels the involution class")
+        else:
+            witness = sf.factor_f_lambda(G, v).witness
+            _expect(label == cl.class_of(ctx, witness),
+                    "the class of the element moving a root to its q-th power")
         seen.add((label.kind, label.representative.key()))
     _expect(len(seen) == 4, "the four finite values hit four distinct classes")
     return "bijection onto the 5 classes, infinity -> identity"

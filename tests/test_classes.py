@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from orbitfactor import classes as cl
 from orbitfactor import gf, grouporbit as go, invariants as inv, moebius as mo
-from orbitfactor import structfactor as sf
+from orbitfactor import structfactor as sf, upoly
 from orbitfactor.errors import CtxMismatchError
 
 
@@ -131,9 +131,44 @@ def test_conjugacy_classes_time_budget(p, m):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_canonical_generator_is_the_closed_form(p, m):
-    # Dickson's closed form, computed apart from any orbit polynomial
+    # The full group's invariant generator is 2 minus Dickson's closed form,
+    # computed apart from any orbit polynomial; class_of_lambda rests on it.
     ctx = gf.field_create(p, m)
-    assert cl.canonical_generator(ctx) == 2 - inv.pgl_generator(ctx, validate=False)
+    assert inv.invariant_generator(go.full_pgl(ctx)) == 2 - inv.pgl_generator(ctx, validate=False)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_class_of_lambda_matches_the_root_witness(p, m):
+    # The paper's definition: the class of the element of PGL(2,q) sending a
+    # root of f - lambda*g to its q-th power, found by factoring f - lambda*g.
+    ctx = gf.field_create(p, m)
+    G = go.full_pgl(ctx)
+    two = ctx.elem(2)
+    for v in ctx.elements():
+        res = cl.class_of_lambda(ctx, mo.ProjPoint(v))
+        if v != two:
+            assert res == cl.class_of(ctx, sf.factor_f_lambda(G, v).witness)
+        elif ctx.p != 2:
+            assert isinstance(res, cl.AmbiguousInvolutions)
+        else:
+            assert isinstance(res, cl.ClassLabel) and res.order == 2
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
+def test_class_of_lambda_at_a_root_of_each_companion(p, m):
+    # Beyond the factoring oracle's reach: the closed form evaluated at a
+    # point of X_s outside F_q gives the invariant value of s's class.
+    ctx = gf.field_create(p, m)
+    q = ctx.order
+    for label in cl.conjugacy_classes(ctx):
+        if label.order <= 2:
+            continue
+        ext = gf.extension_of(ctx, label.order, cap=max(gf.size_cap(), q ** label.order))
+        roots = upoly.roots_in(sf.frobenius_companion(label.representative), ext)
+        alpha = next(z for z in roots if not gf.in_subfield(z, ctx))
+        w = (alpha ** q - alpha) ** (q - 1)
+        kappa = gf.down_cast((w + ext.one()) ** (q + 1) / w ** q, ctx)
+        assert cl.class_of_lambda(ctx, mo.ProjPoint(ctx.elem(2) - kappa)) == label
 
 
 def test_infinity_maps_to_identity(F3):

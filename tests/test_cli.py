@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitfactor import cli
+from orbitfactor import classes as cl, cli
 
 
 def run_cli(capsys, *argv):
@@ -15,7 +15,8 @@ def run_cli(capsys, *argv):
 
 # stdout and exit code of the README factor, lambda-report, orbit-poly and
 # invariant --gens commands (plus factor on the quadratic-extension path, F_4,
-# F_9 and --k 2, and orbit-poly over a generating set of PGL(2,5)), text and --json
+# F_9 and --k 2, orbit-poly over a generating set of PGL(2,5), and classes
+# over F_3, F_8 and F_9 with and without --lambda), text and --json
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -114,6 +115,19 @@ def test_orbit_poly_of_pgl_7_time_budget(capsys):
     assert code == 0
     assert out.startswith("group order: 336\n")
     assert elapsed < limit_s, f"orbit-poly over PGL(2,7) took {elapsed:.2f}s"
+
+
+def test_classes_lambda_time_budget(capsys):
+    # an order-10 class of PGL(2,9): factoring the degree-720 f - lambda*g
+    # for a witness took about 9 s on a 2-vCPU host
+    cl._classes_by_key.cache_clear()
+    limit_s = 2.0
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "classes", "--p", "3", "--m", "2", "--lambda", "[1,1]")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "lambda = [1,1] -> " in out
+    assert elapsed < limit_s, f"classes --lambda over F_9 took {elapsed:.2f}s"
 
 
 def test_json_round_trip(capsys):
