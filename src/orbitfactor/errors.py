@@ -13,10 +13,6 @@ class SizeCapError(AlgebraError):
     """A field or enumeration would exceed the configured size cap."""
 
 
-class TowerDepthError(AlgebraError):
-    """Extension towers deeper than prime -> F_q -> F_{q^k} are not supported."""
-
-
 class NotIrreducibleError(AlgebraError):
     """A polynomial required to be irreducible is not."""
 

@@ -1,8 +1,9 @@
-"""Exact arithmetic in F_p, F_q = F_{p^m}, and one further extension F_{q^k}.
+"""Exact arithmetic in F_p, F_q = F_{p^m}, and any extension built over them.
 
 A field is either a prime field or a quotient base[y]/(h) for a monic
-irreducible h over the base.  Towers are at most prime -> F_q -> F_{q^k};
-this covers a ground field plus the one extension needed to host roots.
+irreducible h over the base, which may itself be any such field: a tower
+F_p -> F_q -> F_{q^k} -> ... has any depth, and every extension of a field
+is :func:`extend` or :func:`extension_of` over that field.
 
 Every element is an encoded int: a residue mod p, or sum(c_i * |base|^i)
 over the encodings c_i of its coordinates over the base.  A field of at most
@@ -23,7 +24,6 @@ from .errors import (
     NonPrimeError,
     NotIrreducibleError,
     SizeCapError,
-    TowerDepthError,
 )
 
 DEFAULT_SIZE_CAP = 1 << 20
@@ -575,8 +575,6 @@ def extend(base: FieldCtx, h, cap: Optional[int] = None) -> FieldCtx:
         raise CtxMismatchError("modulus must be a polynomial over the base field")
     if h.deg == 1:
         return base  # degree-1 extension is the base itself
-    if base.base is not None and base.base.base is not None:
-        raise TowerDepthError("towers deeper than prime -> F_q -> F_{q^k} are not supported")
     limit = size_cap() if cap is None else cap
     if base.order ** h.deg > limit:
         raise SizeCapError(f"|{base}|^{h.deg} exceeds the size cap {limit}")
@@ -664,12 +662,12 @@ def in_subfield(x: FieldElem, sub: FieldCtx) -> bool:
 
 
 def frobenius_base_order(ctx: FieldCtx) -> int:
-    """Cardinality q of the designated base of ctx's tower."""
+    """Cardinality q of ctx's base field (of ctx itself when it is prime)."""
     return ctx.order if ctx.base is None else ctx.base.order
 
 
 def frobenius(x: FieldElem, e: int = 1) -> FieldElem:
-    """x^(q^e) where q is the cardinality of the base of x's tower.
+    """x^(q^e) where q is the cardinality of the base field of x's field.
 
     Acts trivially on base field elements; iterating degree-many times is
     the identity on the whole extension.

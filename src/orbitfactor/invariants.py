@@ -7,10 +7,9 @@ All coefficients are affine in the first nonconstant one, t, which yields
 the linear one-parameter family attached to G.  :func:`orbit_family` reads
 the family off two orbits: the orbit of infinity, where t has its poles,
 gives the slopes, and one more orbit gives the constants, each a product of
-|G| linear factors, O(|G|^2) operations in F_q or F_{q^2}.
+|G| linear factors, O(|G|^2) operations in F_q or F_{q^2}, for any F_q.
 :func:`orbit_polynomial` builds the rational-function coefficients from the
-family in closed form, without a gcd.  Only a group transitive on P^1(F_q)
-over a two-step tower falls back to expanding over F_q(x), O(|G|^3).
+family in closed form, without a gcd.
 """
 
 from __future__ import annotations
@@ -312,18 +311,14 @@ def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
     the first i with A_i != 0.  At a point z outside G(inf) every c_i is
     finite and P specializes to c(T) = prod over g in G of (T - g(z)), so
     b_i = c_i(z) - a_i*c_j(z).  z is the first point of F_q, in encoding
-    order, outside G(inf), or else the first of F_{q^2}; one exists there
-    because G(inf) lies in P^1(F_q).  When the same field has a point z2 in a
+    order, outside G(inf), or else the first of F_{q^2} =
+    ``gf.extension_of(F_q, 2)``, over any F_q; one exists there because G(inf)
+    lies in P^1(F_q).  When the same field has a point z2 in a
     third orbit, c(z2) is checked to lie on the family, and the
     orbit-stabilizer identity |G(inf)|*|G_inf| = |G| is checked at infinity.
     Each product costs O(|G|^2) operations in F_q or F_{q^2}; the b_i are
     brought back to F_q.  The lines of the elements are checked by
     :func:`_check_distinct_lines`.
-
-    The one fallback: over a two-step tower (such as F_4 -> F_16), which has
-    no quadratic extension here, a G transitive on P^1(F_q) leaves no point
-    to specialize at, and the b_i are read off the product of
-    (c_g*x + d_g)*T - (a_g*x + b_g) over G in F_q[x][T], O(|G|^3).
     """
     _check_distinct_lines(G)
     ctx = G.ctx
@@ -339,8 +334,6 @@ def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
     a_vec = [ctx.mul(a, scale) for a in A] + [0] * (m - len(at_inf))
     field = ctx
     if len(seen) == ctx.order:  # G(inf) is all of P^1(F_q)
-        if ctx.base is not None and ctx.base.base is not None:
-            return _expanded_family(G, a_vec, j), j
         field = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), ctx.order ** 2))
     add, mul, inv = field.add, field.mul, field.inv
     orbits = []
@@ -359,28 +352,6 @@ def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
     family = tuple((ctx.decode(a), gf.down_cast(field.decode(b), ctx))
                    for a, b in zip(a_vec, b_vec))
     return family, j
-
-
-def _expanded_family(G: go.Subgroup, a_vec: list, j: int) -> tuple:
-    """The family of :func:`orbit_family` with the b_i read off the expanded
-    orbit polynomial: the product of (c_g*x + d_g)*T - (a_g*x + b_g) over G in
-    F_q[x][T], each T-coefficient divided by the leading one."""
-    ctx = G.ctx
-    zero_poly = upoly.Poly.zero(ctx)
-    acc = [upoly.Poly.one(ctx)]
-    for s in G.elements:
-        u = upoly.Poly(ctx, (s.b, s.a))
-        v = upoly.Poly(ctx, (s.d, s.c))
-        nxt = [zero_poly] * (len(acc) + 1)
-        for i, coeff in enumerate(acc):
-            if coeff:
-                nxt[i + 1] = nxt[i + 1] + coeff * v
-                nxt[i] = nxt[i] - coeff * u
-        acc = nxt
-    coeffs = [RatFunc(B, acc[-1]) for B in acc]
-    # constant_value raises when c_i - a_i*t is not constant
-    return tuple((ctx.decode(a), (coeff - coeffs[j] * ctx.decode(a)).constant_value())
-                 for a, coeff in zip(a_vec, coeffs))
 
 
 def _expand_roots(field: gf.FieldCtx, roots: list) -> list:

@@ -102,20 +102,9 @@ class StructuredFactorization:
 
 
 def root_extension(ctx: gf.FieldCtx, h: upoly.Poly) -> tuple[gf.FieldCtx, gf.FieldElem]:
-    """A field containing a root of the irreducible h, with that root.
-
-    Plain quotient when the tower allows it; otherwise a fresh prime-rooted
-    field of the right size with the root located explicitly.
-    """
-    needed = ctx.order ** h.deg
-    if ctx.base is None or ctx.base.base is None:
-        ext = gf.extend(ctx, h, cap=max(gf.size_cap(), needed))
-        return ext, ext.gen()
-    flat = gf.field_create(ctx.p, ctx.tower_degree() * h.deg, cap=max(gf.size_cap(), needed))
-    roots = upoly.roots_in(h, flat)
-    if not roots:
-        raise InvariantViolation("irreducible factor has no root in the flattened field")
-    return flat, roots[0]
+    """ctx[y]/(h) for an irreducible h of degree > 1, with its root y."""
+    ext = gf.extend(ctx, h, cap=max(gf.size_cap(), ctx.order ** h.deg))
+    return ext, ext.gen()
 
 
 def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
@@ -375,29 +364,6 @@ class GeneralKFactorization:
         return out
 
 
-def _ground_extension(ctx: gf.FieldCtx, k: int):
-    """F_{q^k} plus an embedding of F_q, usable as a ground field for the
-    structured factorization (keeps room for one more extension)."""
-    if ctx.base is None:
-        ground = gf.extension_of(ctx, k, cap=max(gf.size_cap(), ctx.order ** k))
-        return ground, lambda x: gf.embed(x, ground)
-    flat = gf.field_create(ctx.p, ctx.tower_degree() * k,
-                           cap=max(gf.size_cap(), ctx.order ** k))
-    roots = upoly.roots_in(ctx.modulus, flat)
-    if not roots:
-        raise InvariantViolation("ground field does not contain the coefficient field")
-    root = roots[0]
-
-    # Horner over the prime-field coordinates of x
-    def hom(x: gf.FieldElem) -> gf.FieldElem:
-        acc = flat.zero()
-        for c in reversed(x.coeffs()):
-            acc = acc * root + flat.elem(c.rep if isinstance(c, gf.FieldElem) else c)
-        return acc
-
-    return flat, hom
-
-
 def factor_general_k(s: mo.Moebius, k: int) -> GeneralKFactorization:
     """Factor c*T^(q^k+1) + d*T^(q^k) - a*T - b over F_q.
 
@@ -417,22 +383,16 @@ def factor_general_k(s: mo.Moebius, k: int) -> GeneralKFactorization:
         return GeneralKFactorization(input_poly, 1, ctx, structured,
                                      tuple(factors), structured.unit)
 
-    ground, hom = _ground_extension(ctx, k)
-    entries = tuple(hom(e) for e in s.entries())
-    s_ground = mo.Moebius(*entries)
-    inner = factor_by_orbit(s_ground)
+    ground = gf.extension_of(ctx, k)
+    inner = factor_by_orbit(s.lift_to(ground))
 
-    # invert the embedding on the q-power-fixed coefficients
-    back = {hom(v).encode(): v for v in ctx.elements()}
+    def rational(c: gf.FieldElem, what: str) -> gf.FieldElem:
+        if not gf.in_subfield(c, ctx):
+            raise InvariantViolation(f"{what} is not rational")
+        return gf.down_cast(c, ctx)
 
     def descend(poly: upoly.Poly) -> upoly.Poly:
-        out = []
-        for c in poly.coeffs:
-            key = c.encode()
-            if key not in back:
-                raise InvariantViolation("merged factor coefficient is not rational")
-            out.append(back[key])
-        return upoly.Poly(ctx, out)
+        return upoly.Poly(ctx, [rational(c, "merged factor coefficient") for c in poly.coeffs])
 
     def frob_poly(poly: upoly.Poly) -> upoly.Poly:
         return upoly.Poly(ground, tuple(c ** q for c in poly.coeffs))
@@ -458,10 +418,7 @@ def factor_general_k(s: mo.Moebius, k: int) -> GeneralKFactorization:
         if not upoly.is_irreducible(factor):
             raise InvariantViolation("merged factor is reducible over the ground field")
     merged.sort(key=lambda f: f.key())
-    unit_key = inner.unit.encode()
-    if unit_key not in back:
-        raise InvariantViolation("unit is not rational")
-    unit = back[unit_key]
+    unit = rational(inner.unit, "unit")
     result = GeneralKFactorization(input_poly, k, ground, inner, tuple(merged), unit)
     if result.reconstruct() != input_poly:
         raise InvariantViolation("merged factors do not reconstruct the input")

@@ -279,6 +279,17 @@ def test_lang_solution_points_are_solutions(F3):
         assert lhs == rhs
 
 
+def test_lang_solve_over_a_tower_ground(F4):
+    # over the tower F_4 -> F_16, F_{q^r} for r = 5 is a three-step tower
+    F16 = gf.extension_of(F4, 2)
+    s = next(t for t in go.full_pgl(F16) if t.order() == 5)
+    sol = cl.lang_solve(s)
+    assert sol.ext == gf.extension_of(F16, 5) and sol.ext.base == F16
+    sig = mo.Moebius(*(e ** 16 for e in sol.t.entries()))
+    assert sig.inverse().compose(sol.t) == s.lift_to(sol.ext)
+    assert len(sol.solution_points) == 17
+
+
 def test_lang_beyond_former_size_cap(F7):
     # 7^8 exceeds the default field-size cap; no F_{q^r} scan is made
     s = mo.parse_moebius(F7, "(3x-1)/(x+3)")

@@ -18,12 +18,19 @@ def _tower_16():
     return gf.extend(F4, gf.least_irreducible(F4, 2))
 
 
+def _tower_over_16(k):
+    """F_4 -> F_16 -> F_{16^k}, a three-step tower over the prime field."""
+    F16 = _tower_16()
+    return gf.extend(F16, gf.least_irreducible(F16, k))
+
+
 TABULATED = {
     "F13": lambda: gf.prime_field(13),
     "F251": lambda: gf.prime_field(251),
     "F169": lambda: gf.field_create(13, 2),
     "F256": lambda: gf.field_create(2, 8),
     "F4^2": _tower_16,
+    "F4^2^2": lambda: _tower_over_16(2),
 }
 COMPUTED = {
     "F257": lambda: gf.prime_field(257),
@@ -31,6 +38,7 @@ COMPUTED = {
     "F512": lambda: gf.field_create(2, 9),
     "F4^5": lambda: gf.extension_of(gf.field_create(2, 2), 5),
     "F289^2": lambda: gf.extension_of(gf.field_create(17, 2), 2),
+    "F4^2^3": lambda: _tower_over_16(3),
 }
 FIELDS = {**TABULATED, **COMPUTED}
 
@@ -72,7 +80,8 @@ def test_prime_field_matches_int_residues(name):
                 assert (a / b).rep == a.rep * pow(b.rep, p - 2, p) % p
 
 
-@pytest.mark.parametrize("name", ["F169", "F256", "F4^2", "F289", "F512", "F4^5", "F289^2"])
+@pytest.mark.parametrize("name", ["F169", "F256", "F4^2", "F289", "F512", "F4^5", "F289^2",
+                                  "F4^2^2", "F4^2^3"])
 def test_extension_matches_polynomials_mod_modulus(name):
     ctx = FIELDS[name]()
     mod = ctx.modulus
@@ -95,7 +104,8 @@ def test_extension_matches_polynomials_mod_modulus(name):
             assert _as_poly(a * b) == (pa * pb) % mod
 
 
-@pytest.mark.parametrize("name", ["F169", "F256", "F4^2", "F289", "F512", "F4^5", "F289^2"])
+@pytest.mark.parametrize("name", ["F169", "F256", "F4^2", "F289", "F512", "F4^5", "F289^2",
+                                  "F4^2^2", "F4^2^3"])
 def test_embed_down_cast_round_trips(name):
     ctx = FIELDS[name]()
     chain = []

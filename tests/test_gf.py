@@ -8,7 +8,6 @@ from orbitfactor.errors import (
     NonPrimeError,
     NotIrreducibleError,
     SizeCapError,
-    TowerDepthError,
 )
 
 
@@ -72,11 +71,19 @@ def test_extend_rejects_reducible(F5):
         gf.extend(F5, upoly.Poly.from_ints(F5, [-1, 0, 1]))  # y^2 - 1
 
 
-def test_tower_depth_limit(F9):
+def test_extend_over_a_two_step_tower(F9):
     F81 = gf.extension_of(F9, 2)
     h = gf.least_irreducible(F81, 2)
-    with pytest.raises(TowerDepthError):
-        gf.extend(F81, h)
+    F6561 = gf.extend(F81, h)
+    assert F6561.tower_degree() == 8 and F6561.order == 3 ** 8
+    for v in F9.elements():
+        up = gf.embed(v, F6561)
+        assert up.encode() == v.encode() and gf.down_cast(up, F9) == v
+    assert h(F6561.gen()) == F6561.zero()
+    xs = [F6561.decode(i) for i in (0, 1, 2, 80, 81, 3000, 6560)] + [F6561.gen()]
+    for x in xs:
+        assert gf.parse_elem(F6561, gf.format_elem(x)) == x
+        assert x ** 6561 == x
 
 
 def test_multiplicative_order(F9):

@@ -70,6 +70,19 @@ def test_cyclic_dividing_q_plus_one_acts_regularly(F7):
     assert census == [(1, 4), (1, 4)]
 
 
+def test_nonregular_orbits_over_a_tower_ground(F4):
+    # the fixed points of s over F_16 = F_4[y]/(h) lie in F_{16^2}, a three-step tower
+    F16 = gf.extension_of(F4, 2)
+    F256 = gf.extension_of(F16, 2)
+    s = next(t for t in go.full_pgl(F16) if t.order() == 5)
+    fixed = s.fixed_points(2)
+    assert len(fixed) == 2
+    assert all(z.value.ctx == F256 and s.lift_to(F256).apply(z) == z for z in fixed)
+    orbits = go.nonregular_orbits(go.Subgroup(F16, s.powers()))
+    assert [o.points for o in orbits] == [(z,) for z in fixed]
+    assert all(len(o.stabilizer) == 5 for o in orbits)
+
+
 def test_census_p_group(F7):
     G = go.generate(F7, [mo.parse_moebius(F7, "x+1")])
     assert go.nonregular_census(G) == [(1, 7)]

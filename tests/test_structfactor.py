@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -222,17 +224,19 @@ def test_factor_general_k_is_factor_by_orbit_at_one(F7):
     assert res.reconstruct() == res.input
 
 
+def _oracle_factors(poly):
+    oracle = upoly.factorize(poly)
+    return tuple(sorted([p for p, mult in oracle.factors for _ in range(mult)],
+                        key=lambda f: f.key()))
+
+
 def test_factor_general_k_two(F2):
     # q=2, k=2: s of order 3 acts through PGL(2,4); merging Galois conjugates
     # recovers the rational factorization of the degree-5 companion
     s = next(t for t in go.full_pgl(F2) if t.order() == 3)
     res = sf.factor_general_k(s, 2)
     assert res.input.deg in (4, 5)
-    oracle = upoly.factorize(res.input)
-    mine = sorted(res.factors, key=lambda f: f.key())
-    theirs = sorted([p for p, mult in oracle.factors for _ in range(mult)],
-                    key=lambda f: f.key())
-    assert mine == theirs
+    assert res.factors == _oracle_factors(res.input)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -241,11 +245,7 @@ def test_factor_general_k_all_of_pgl2(F2, k):
         if s.is_identity():
             continue
         res = sf.factor_general_k(s, k)
-        oracle = upoly.factorize(res.input)
-        mine = sorted(res.factors, key=lambda f: f.key())
-        theirs = sorted([p for p, mult in oracle.factors for _ in range(mult)],
-                        key=lambda f: f.key())
-        assert mine == theirs
+        assert res.factors == _oracle_factors(res.input)
         # rational factor degrees are Galois merges of the ground-field ones
         inner_degs = {e.poly.deg for e in res.inner.factors}
         inner_degs |= {lin.deg for lin in res.inner.removed_linear}
@@ -254,14 +254,37 @@ def test_factor_general_k_all_of_pgl2(F2, k):
 
 
 def test_factor_general_k_nonprime_ground(F4):
-    # ground field F_{q^k} built from a non-prime q needs the flattened tower
+    # over a non-prime q the ground field F_{q^k} is the tower F_2 -> F_4 -> F_16
     s = next(t for t in go.full_pgl(F4) if t.order() == 5)
     res = sf.factor_general_k(s, 2)
-    oracle = upoly.factorize(res.input)
-    mine = sorted(res.factors, key=lambda f: f.key())
-    theirs = sorted([p for p, mult in oracle.factors for _ in range(mult)],
-                    key=lambda f: f.key())
-    assert mine == theirs
+    assert res.ground == gf.extension_of(F4, 2) and res.ground.base == F4
+    assert res.factors == _oracle_factors(res.input)
+
+
+def test_factor_general_k_over_a_tower_ground(F4):
+    # q = 16 is itself the tower F_4 -> F_16, so F_{q^2} is a three-step tower
+    F16 = gf.extension_of(F4, 2)
+    pgl = go.full_pgl(F16)
+    for order in (5, 3):
+        s = next(t for t in pgl if t.order() == order)
+        res = sf.factor_general_k(s, 2)
+        assert res.ground == gf.extension_of(F16, 2) and res.ground.tower_degree() == 8
+        assert res.factors == _oracle_factors(res.input)
+
+
+@pytest.mark.parametrize("p, m, k", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 2, 3),
+                                     (3, 2, 2), (2, 3, 2)])
+def test_factor_general_k_lifts_the_ground_family(p, m, k):
+    # the family over F_{q^k} is the family over F_q, embedded
+    ctx = gf.field_create(p, m)
+    ground = gf.extension_of(ctx, k)
+    elements = [s for s in go.full_pgl(ctx) if not s.is_identity()]
+    for s in random.Random(f"{p},{m},{k}").sample(elements, min(16, len(elements))):
+        res = sf.factor_general_k(s, k)
+        assert res.ground == ground
+        family, _ = inv.orbit_family(go.Subgroup(ctx, s.powers()))
+        assert res.inner.family == tuple((gf.embed(a, ground), gf.embed(b, ground))
+                                         for a, b in family)
 
 
 def test_solution_counts(F3):
