@@ -99,7 +99,7 @@ def _class_key(s: mo.Moebius) -> tuple[int, bool]:
     if s.is_identity():
         flag = True
     elif not tr and ctx.p != 2:
-        flag = (-det) ** ((ctx.order - 1) // 2) == ctx.one()
+        flag = gf.is_square(-det)
     else:
         flag = False
     return (tr * tr / det).encode(), flag

@@ -82,6 +82,7 @@ class FieldCtx:
         "_elems",
         "_hash",
         "_irr_cache",
+        "_quad_const",
         "_tables",
         "add",
         "sub",
@@ -117,6 +118,7 @@ class FieldCtx:
         self._hash = hash((p, self.degree, None if base is None else hash(base),
                            None if mod is None else tuple(c.encode() for c in mod)))
         self._irr_cache: dict = {}
+        self._quad_const: Optional["FieldElem"] = None
 
     # -- identity / comparison ------------------------------------------------
 
@@ -701,6 +703,130 @@ def minimal_poly(alpha: FieldElem, over: FieldCtx):
         prod = prod * upoly.Poly(alpha.ctx, (-c, alpha.ctx.one()))
     coeffs = tuple(down_cast(c, over) for c in prod.coeffs)
     return upoly.Poly(over, coeffs)
+
+
+# -- square roots and quadratic equations ----------------------------------------
+
+
+def absolute_trace(x: FieldElem) -> int:
+    """x + x^p + ... + x^(p^(n-1)), n the degree over F_p: the trace of x
+    down to the prime field, as a residue mod p."""
+    p = x.ctx.p
+    y = t = x
+    for _ in range(x.ctx.tower_degree() - 1):
+        y = y ** p
+        t = t + y
+    return t.rep
+
+
+def is_square(x: FieldElem) -> bool:
+    """Euler's criterion: x is 0 or x^((Q-1)/2) = 1.  In characteristic 2
+    every element is a square."""
+    ctx = x.ctx
+    return ctx.p == 2 or not x or x ** ((ctx.order - 1) // 2) == ctx.one()
+
+
+def _quadratic_constant(ctx: FieldCtx) -> FieldElem:
+    """A non-square of ctx for odd p, an element of absolute trace 1 for p = 2.
+
+    Found by a scan in encoding order, which passes every element of a
+    subfield first, so the result is kept on the context.
+    """
+    c = ctx._quad_const
+    if c is None:
+        if ctx.p == 2:
+            c = next(x for x in ctx.elements() if absolute_trace(x))
+        else:
+            c = next(x for x in ctx.elements() if not is_square(x))
+        ctx._quad_const = c
+    return c
+
+
+def sqrt(x: FieldElem) -> Optional[FieldElem]:
+    """A square root of x, or None when x is not a square.
+
+    In characteristic 2 the root is x^(Q/2), for Q the order of the field.
+    For odd p it is found by Tonelli–Shanks: write Q - 1 = 2^e * r with r
+    odd, start from x^((r+1)/2), whose square is x times x^r, and cancel the
+    2-power part of x^r with powers of z^r, for z the field's non-square.
+    """
+    ctx = x.ctx
+    if ctx.p == 2:
+        return x ** (ctx.order // 2)
+    if not x:
+        return x
+    if not is_square(x):
+        return None
+    r, e = ctx.order - 1, 0
+    while not r & 1:
+        r >>= 1
+        e += 1
+    one = ctx.one()
+    root = x ** ((r + 1) // 2)
+    t = x ** r  # root^2 = x * t throughout
+    c = _quadratic_constant(ctx) ** r  # of order 2^e
+    while t != one:
+        i, u = 0, t  # t has order 2^i, with i < e
+        while u != one:
+            u = u * u
+            i += 1
+        b = c
+        for _ in range(e - i - 1):
+            b = b * b
+        root = root * b
+        c = b * b
+        t = t * c
+        e = i
+    return root
+
+
+def artin_schreier_root(w: FieldElem) -> Optional[FieldElem]:
+    """A root u of u^2 + u = w in characteristic 2, or None when the absolute
+    trace of w is 1.  The other root is u + 1.
+
+    With theta of trace 1 and n the degree over F_2, the root is
+    u = sum over 1 <= i < n of (theta + theta^2 + ... + theta^(2^(i-1))) * w^(2^i):
+    then u^2 + u = w + theta * Tr(w).
+    """
+    ctx = w.ctx
+    if ctx.p != 2:
+        raise CtxMismatchError(f"u^2 + u = w is an equation in characteristic 2, not over {ctx}")
+    if absolute_trace(w):
+        return None
+    theta = partial = _quadratic_constant(ctx)
+    u = ctx.zero()
+    for _ in range(ctx.tower_degree() - 1):
+        w = w * w
+        u = u + partial * w
+        theta = theta * theta
+        partial = partial + theta
+    return u
+
+
+def quadratic_roots(beta: FieldElem, gamma: FieldElem) -> tuple[FieldElem, ...]:
+    """The distinct roots of T^2 + beta*T + gamma in the field of beta,
+    sorted by encoding.
+
+    Odd p: (-beta +- sqrt(beta^2 - 4*gamma)) / 2.  Characteristic 2: the
+    root sqrt(gamma) when beta = 0, else T = beta*u with u^2 + u = gamma/beta^2.
+    """
+    ctx = beta.ctx
+    if ctx.p == 2:
+        if not beta:
+            return (sqrt(gamma),)
+        u = artin_schreier_root(gamma / (beta * beta))
+        if u is None:
+            return ()
+        roots = [beta * u, beta * u + beta]
+    else:
+        r = sqrt(beta * beta - 4 * gamma)
+        if r is None:
+            return ()
+        half = ctx.elem(2).inverse()
+        if not r:
+            return (-beta * half,)
+        roots = [(r - beta) * half, (-r - beta) * half]
+    return tuple(sorted(roots, key=FieldElem.encode))
 
 
 # -- text format ----------------------------------------------------------------

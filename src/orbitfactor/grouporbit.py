@@ -1,8 +1,11 @@
 """Finite subgroups of PGL(2,q): generation, orbits, stabilizers, ramification.
 
-Non-regular orbits are found from the fixed points of group elements, which
-all lie on P^1(F_{q^2}); this avoids scanning large extensions and is the
-basis of the ramification audit.
+Non-regular orbits are found from the fixed points of group elements.  Those
+of a non-identity element are infinity or the roots of a quadratic read off
+its matrix, so they all lie on P^1(F_{q^2}) and come from the quadratic
+formula, without scanning any extension; they are the basis of the
+ramification audit.  Element orders come from the matrix too (see
+:meth:`moebius.Moebius.order`).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from . import gf, upoly
+from . import gf
 from .errors import CtxMismatchError, IdentityInputError, InvariantViolation
 
 
@@ -157,13 +157,24 @@ class Moebius:
         return out
 
     def order(self) -> int:
-        """Least n >= 1 with s^n = identity, by iteration (bounded by q+1)."""
-        bound = self.ctx.order + 1
-        current = self
-        for n in range(1, bound + 1):
-            if current.is_identity():
+        """Least n >= 1 with s^n = identity (at most q+1), from the matrix.
+
+        With t = a+d and D = ad-bc, Cayley–Hamilton gives
+        M^n = U_n*M - D*U_(n-1)*I for the sequence U_0 = 0, U_1 = 1,
+        U_(n+1) = t*U_n - D*U_(n-1).  M is not scalar, so M^n is scalar,
+        the identity of PGL(2,q), exactly when U_n = 0.
+        """
+        if self.is_identity():
+            return 1
+        ctx = self.ctx
+        mul, sub = ctx.mul, ctx.sub
+        a, b, c, d = (e.rep for e in self.entries())
+        tr, det = ctx.add(a, d), sub(mul(a, d), mul(b, c))
+        prev, cur = 0, 1  # U_0, U_1
+        for n in range(2, ctx.order + 2):
+            prev, cur = cur, sub(mul(tr, cur), mul(det, prev))  # U_n
+            if not cur:
                 return n
-            current = current * self
         raise InvariantViolation("order exceeded q+1, impossible in PGL(2,q)")
 
     def powers(self) -> list["Moebius"]:
@@ -222,38 +233,34 @@ class Moebius:
                 return MoebiusClass.UNIPOTENT
             # separable char. poly; split iff the absolute trace of det/tr^2 is 0
             w = (a * d - b * c) / ((a + d) * (a + d))
-            tr = w
-            acc = w
-            for _ in range(ctx.tower_degree() - 1):
-                acc = acc * acc
-                tr = tr + acc
-            return MoebiusClass.SPLIT if not tr else MoebiusClass.NONSPLIT
+            return MoebiusClass.NONSPLIT if gf.absolute_trace(w) else MoebiusClass.SPLIT
         disc = (d - a) * (d - a) + 4 * b * c
         if not disc:
             return MoebiusClass.UNIPOTENT
-        if disc ** ((ctx.order - 1) // 2) == ctx.one():
-            return MoebiusClass.SPLIT
-        return MoebiusClass.NONSPLIT
-
-    def fixed_point_poly(self) -> upoly.Poly:
-        """cT^2 + (d-a)T - b, whose roots are the finite fixed points."""
-        return upoly.Poly(self.ctx, (-self.b, self.d - self.a, self.c))
+        return MoebiusClass.SPLIT if gf.is_square(disc) else MoebiusClass.NONSPLIT
 
     def fixed_points(self, k: int = 1, cap: Optional[int] = None) -> tuple[ProjPoint, ...]:
         """All fixed points on P^1(F_{q^k}), sorted; at most two.
 
-        Over the closure (k = 2 suffices) the count is 1 exactly for
-        unipotent elements and 2 otherwise.
+        z = (az+b)/(cz+d) in closed form: for c = 0 the points are infinity
+        and b/(d-a) when d != a, otherwise the roots of T^2 + ((d-a)/c)T - b/c
+        by :func:`gf.quadratic_roots`.  Over the closure (k = 2 suffices) the
+        count is 1 exactly for unipotent elements and 2 otherwise.
         """
         if self.is_identity():
             raise IdentityInputError("every point is fixed by the identity")
         ext = gf.extension_of(self.ctx, k, cap=cap)
-        out = []
-        if not self.c:
-            out.append(INFINITY)
-        quad = self.fixed_point_poly()
-        if quad.deg >= 1:
-            out.extend(ProjPoint(r) for r in upoly.roots_in(quad, ext))
+        lifted = self.lift_to(ext)
+        a, b, c, d = lifted.entries()
+        if not c:
+            out = [INFINITY]
+            if d != a:
+                out.append(ProjPoint(b / (d - a)))
+        else:
+            out = [ProjPoint(r) for r in gf.quadratic_roots((d - a) / c, -b / c)]
+        for z in out:
+            if lifted.apply(z) != z:
+                raise InvariantViolation(f"{self} moves its computed fixed point {z}")
         out.sort(key=lambda z: z.key())
         return tuple(out)
 

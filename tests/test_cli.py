@@ -16,8 +16,9 @@ def run_cli(capsys, *argv):
 # stdout and exit code of the README factor, lambda-report, orbit-poly and
 # invariant --gens commands (plus factor on the quadratic-extension path, F_4,
 # F_9, --k 2 over F_3 and F_4 and --k 3 over F_3, orbit-poly over a
-# generating set of PGL(2,5), and classes over F_3, F_8 and F_9 with and
-# without --lambda), text and --json
+# generating set of PGL(2,5), classes over F_3, F_8 and F_9 with and
+# without --lambda, orbits over F_11, F_9 and the F_4 -> F_16 tower, and lang
+# over F_2), text and --json
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -203,3 +204,70 @@ def test_least_irreducible_matches_lexicographic_search(p, m, max_d):
 def test_least_irreducible_degree_seven_over_f7(F7):
     h = gf.least_irreducible(F7, 7)
     assert h.deg == 7 and h.is_monic() and upoly.is_irreducible(h)
+
+
+def _tower_f16():
+    return gf.extension_of(gf.field_create(2, 2), 2)
+
+
+def _sample(ctx, n, seed):
+    rng = random.Random(seed)
+    return [ctx.decode(rng.randrange(ctx.order)) for _ in range(n)]
+
+
+# every element of F_9, F_25, F_16 (over F_4), F_256 and F_243, and samples of
+# the computed fields F_289 and F_512
+QUADRATIC_CASES = [
+    ("F9", lambda: gf.field_create(3, 2), None),
+    ("F25", lambda: gf.field_create(5, 2), None),
+    ("F16/F4", _tower_f16, None),
+    ("F256", lambda: gf.field_create(2, 8), None),
+    ("F243", lambda: gf.field_create(3, 5), None),
+    ("F289", lambda: gf.field_create(17, 2), 150),
+    ("F512", lambda: gf.field_create(2, 9), 150),
+]
+
+
+@pytest.mark.parametrize("make,samples", [c[1:] for c in QUADRATIC_CASES],
+                         ids=[c[0] for c in QUADRATIC_CASES])
+def test_square_roots_and_artin_schreier_roots(make, samples):
+    ctx = make()
+    xs = list(ctx.elements()) if samples is None else _sample(ctx, samples, repr(ctx))
+    Q = ctx.order
+    for x in xs:
+        euler = ctx.p == 2 or not x or x ** ((Q - 1) // 2) == ctx.one()
+        assert gf.is_square(x) == euler
+        r = gf.sqrt(x)
+        assert (r is not None) == euler
+        if r is not None:
+            assert r * r == x
+        if ctx.p == 2:
+            trace, y = x, x
+            for _ in range(ctx.tower_degree() - 1):
+                y = y * y
+                trace = trace + y
+            assert gf.absolute_trace(x) == trace.rep
+            u = gf.artin_schreier_root(x)
+            assert (u is not None) == (not trace)
+            if u is not None:
+                assert u * u + u == x
+    if samples is None:
+        squares = {y * y for y in ctx.elements()}
+        assert {x for x in xs if gf.sqrt(x) is not None} == squares
+        if ctx.p == 2:
+            images = {u * u + u for u in ctx.elements()}
+            assert {x for x in xs if gf.artin_schreier_root(x) is not None} == images
+
+
+@pytest.mark.parametrize("make", [lambda: gf.field_create(5, 2), _tower_f16,
+                                  lambda: gf.field_create(3, 1)], ids=["F25", "F16/F4", "F3"])
+def test_quadratic_roots_match_a_search(make):
+    ctx = make()
+    for beta, gamma in itertools.product(ctx.elements(), repeat=2):
+        want = tuple(t for t in ctx.elements() if t * t + beta * t + gamma == ctx.zero())
+        assert gf.quadratic_roots(beta, gamma) == want
+
+
+def test_artin_schreier_needs_characteristic_two(F7):
+    with pytest.raises(CtxMismatchError):
+        gf.artin_schreier_root(F7.one())

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from orbitfactor import gf, grouporbit as go, moebius as mo
+from orbitfactor import gf, grouporbit as go, moebius as mo, upoly
 from orbitfactor.errors import IdentityInputError, InvariantViolation
 
 
@@ -146,6 +147,73 @@ def test_powers_share_fixed_points(F7):
             sr = s.power(r)
             if not sr.is_identity():
                 assert sr.fixed_points(2) == fixed
+
+
+def _order_by_composition(s):
+    current, n = s, 1
+    while not current.is_identity():
+        current, n = current * s, n + 1
+    return n
+
+
+def _fixed_points_by_factoring(s, ext):
+    quad = upoly.Poly(s.ctx, (-s.b, s.d - s.a, s.c))
+    out = [mo.INFINITY] if not s.c else []
+    if quad.deg >= 1:
+        out.extend(mo.ProjPoint(r) for r in upoly.roots_in(quad, ext))
+    return tuple(sorted(out, key=lambda z: z.key()))
+
+
+def _assert_matches_references(s, ks):
+    assert s.order() == _order_by_composition(s)
+    if s.is_identity():
+        return
+    for k in ks:
+        assert s.fixed_points(k) == _fixed_points_by_factoring(s, gf.extension_of(s.ctx, k))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_order_and_fixed_points_match_references_on_all_of_pgl(p, m):
+    for s in go.full_pgl(gf.field_create(p, m)):
+        _assert_matches_references(s, (1, 2, 3))
+
+
+def _random_moebius(ctx, rng):
+    while True:
+        a, b, c, d = (ctx.decode(rng.randrange(ctx.order)) for _ in range(4))
+        if a * d - b * c:
+            return mo.Moebius(a, b, c, d)
+
+
+@pytest.mark.parametrize("make,ks,count", [
+    (lambda: gf.extension_of(gf.field_create(2, 2), 2), (2,), 40),
+    (lambda: gf.field_create(17, 2), (1, 2), 12),
+    (lambda: gf.field_create(2, 9), (1, 2), 12),
+    (lambda: gf.field_create(3, 5), (1, 2), 20),
+    (lambda: gf.prime_field(31), (1, 2, 3), 40),
+], ids=["F16/F4", "F289", "F512", "F243", "F31"])
+def test_order_and_fixed_points_match_references_on_samples(make, ks, count):
+    ctx = make()
+    rng = random.Random(repr(ctx))
+    for _ in range(count):
+        _assert_matches_references(_random_moebius(ctx, rng), ks)
+
+
+@pytest.mark.parametrize("p,m,text", [(7, 1, "(3x-1)/(x+3)"), (2, 2, "(1)/(x+[0,1])"),
+                                       (3, 2, "([0,1]x+1)/(x+1)")])
+def test_order_and_fixed_points_use_field_arithmetic_only(monkeypatch, p, m, text):
+    s = mo.parse_moebius(gf.field_create(p, m), text)
+    for k in (1, 2):
+        s.lift_to(gf.extension_of(s.ctx, k))  # builds the lifts, then no Moebius is built
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("order and fixed points need no polynomial or map arithmetic")
+
+    monkeypatch.setattr(upoly, "roots_in", forbidden)
+    monkeypatch.setattr(upoly, "factorize", forbidden)
+    monkeypatch.setattr(mo.Moebius, "__init__", forbidden)
+    assert s.order() > 1
+    assert len(s.fixed_points(2)) == 2
 
 
 @pytest.mark.parametrize("p,m,k", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2)])
