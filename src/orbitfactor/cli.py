@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand is deterministic for fixed flags; randomized paths take
---seed (default 0).  Output is a human-readable report, or a stable JSON
-document with --json.  Exit codes: 0 success, 1 usage error, 2 for any
-domain error or failed invariant.
+Every subcommand is deterministic for fixed flags.  Every subcommand
+accepts --seed (default 0), but only `factor --oracle-check` reads it: it
+seeds the oracle's randomized splitting.  Output is a human-readable
+report, or a stable JSON document with --json.  Exit codes: 0 success,
+1 usage error, 2 for any domain error or failed invariant.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def _cmd_classes(args) -> int:
 def _cmd_lambda_report(args) -> int:
     ctx = gf.field_create(args.p, args.m)
     s = _parsed(mo.parse_moebius, ctx, args.s)
-    report = sf.lambda_family_report(s, seed=args.seed)
+    report = sf.lambda_family_report(s)
     lines = [f"degrees across lambda in F_{ctx.order} "
              f"(count, Euler-phi prediction):"]
     for r in sorted(report.counts):

@@ -411,12 +411,3 @@ def pgl_generator(ctx: gf.FieldCtx, validate: bool = True) -> RatFunc:
                     if phi.eval_point(s.apply(z)) != phi.eval_point(z):
                         raise InvariantViolation("closed-form generator is not invariant")
     return phi
-
-
-def phi_orbit_test(G: go.Subgroup, phi: RatFunc, alpha: mo.ProjPoint,
-                   beta: mo.ProjPoint) -> bool:
-    """Whether phi takes the same value at alpha and beta.
-
-    For a generator phi of the invariant field this equals the predicate
-    "alpha and beta lie in the same G-orbit"."""
-    return phi.eval_point(alpha) == phi.eval_point(beta)

@@ -47,26 +47,22 @@ def companion_poly(ctx: gf.FieldCtx, entries: tuple, k: int = 1) -> upoly.Poly:
     return upoly.Poly(ctx, coeffs)
 
 
-def find_s_for_alpha(G: go.Subgroup, alpha: gf.FieldElem,
-                     phi: Optional[inv.RatFunc] = None) -> mo.Moebius:
-    """The element of G sending alpha to alpha^q (unique on regular orbits).
+def frobenius_element(G: go.Subgroup, h: upoly.Poly) -> mo.Moebius:
+    """The first g = (a, b, c, d) in G whose companion polynomial h divides.
 
-    Requires alpha outside F_q; the invariant value phi(alpha), when phi is
-    supplied, is checked to land in F_q, which is what guarantees existence.
+    h | c*T^(q+1) + d*T^q - a*T - b says g(z) = z^q at every root z of h.
+    With X = T^q mod h the test is c*(T*X mod h) + d*X == a*T + b in
+    F_q[T]/(h), so no extension field is built.  On a regular orbit the
+    element is unique; raises when G has none.
     """
     ctx = G.ctx
-    if gf.in_subfield(alpha, ctx):
-        raise InvariantViolation("alpha must lie outside the ground field")
-    if phi is not None:
-        value = phi.eval_point(mo.ProjPoint(alpha))
-        if value.value is not None and not gf.in_subfield(value.value, ctx):
-            raise InvariantViolation("phi(alpha) is not rational; no such element exists")
-    target = mo.ProjPoint(alpha ** ctx.order)
-    z = mo.ProjPoint(alpha)
-    for s in G.elements:
-        if s.apply(z) == target:
-            return s
-    raise InvariantViolation("no group element maps alpha to alpha^q")
+    t = upoly.Poly.x(ctx) % h
+    x = upoly.powmod(t, ctx.order, h)
+    tx = (t * x) % h
+    for g in G.elements:
+        if tx.scale(g.c) + x.scale(g.d) == t.scale(g.a) + g.b:
+            return g
+    raise InvariantViolation("no group element moves a root of h to its q-th power")
 
 
 @dataclass(frozen=True)
@@ -99,12 +95,6 @@ class StructuredFactorization:
         polys = sorted(list(self.removed_linear) + [e.poly for e in self.factors],
                        key=lambda f: f.key())
         return tuple((f.key(), 1) for f in polys)
-
-
-def root_extension(ctx: gf.FieldCtx, h: upoly.Poly) -> tuple[gf.FieldCtx, gf.FieldElem]:
-    """ctx[y]/(h) for an irreducible h of degree > 1, with its root y."""
-    ext = gf.extend(ctx, h, cap=max(gf.size_cap(), ctx.order ** h.deg))
-    return ext, ext.gen()
 
 
 def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
@@ -202,12 +192,17 @@ class LambdaFamilyReport:
         return all(count == expected for count, expected in self.counts.values())
 
 
-def lambda_family_report(s: mo.Moebius, seed: int = 0) -> LambdaFamilyReport:
-    """For s of order exactly q+1: factor f - lambda*g for every lambda in F_q.
+def lambda_family_report(s: mo.Moebius) -> LambdaFamilyReport:
+    """For s of order exactly q+1: the factor degree of f - lambda*g for
+    every lambda in F_q.
 
-    The common factor degree r appears for exactly phi(r) values of lambda,
-    for each divisor r > 1 of q+1, and the counts sum to q.  No lambda ever
-    yields a linear factor.
+    G = <s> is abelian, so one element w of G moves every root of
+    h = f - lambda*g to its q-th power (:func:`frobenius_element` on the
+    whole of h); h divides the squarefree companion of w, and when no root of
+    h is a fixed point of s every factor of h has degree order(w).  The
+    common degree r appears for exactly phi(r) values of lambda, for each
+    divisor r > 1 of q+1, and the counts sum to q.  No lambda ever yields a
+    linear factor.
     """
     ctx = s.ctx
     q = ctx.order
@@ -216,17 +211,17 @@ def lambda_family_report(s: mo.Moebius, seed: int = 0) -> LambdaFamilyReport:
         raise WrongOrderError(f"order must be exactly q+1 = {q + 1}")
     phi = inv.invariant_generator(G)
     f, g = phi.monic_pair()
+    # the fixed points of s, shared by every non-identity power of s
+    fixed = upoly.Poly(ctx, (-s.b, s.d - s.a, s.c))
     counts: dict[int, int] = {}
     for lam in ctx.elements():
-        fac = upoly.factorize(f - g.scale(lam), seed)
-        degrees = {poly.deg for poly, _ in fac.factors}
-        if len(degrees) != 1:
+        h = f - g.scale(lam)
+        if upoly.gcd(h, fixed).deg > 0:
             raise InvariantViolation("factors of one specialization have mixed degrees")
-        if any(mult != 1 for _, mult in fac.factors):
-            raise InvariantViolation("specialization is not squarefree")
-        d = degrees.pop()
-        if d == 1:
+        w = frobenius_element(G, h)
+        if w.is_identity():
             raise InvariantViolation("a linear factor appeared; impossible for this family")
+        d = w.order()
         counts[d] = counts.get(d, 0) + 1
     report = {r: (counts.get(r, 0), _euler_phi(r))
               for r in divisors(q + 1) if r > 1}
@@ -310,17 +305,13 @@ def factor_f_lambda(G: go.Subgroup, lam: gf.FieldElem,
     if d == 1:
         return SpecializationFactors(target, lam, True, fac.factors, d, 1,
                                      mo.Moebius.identity(ctx))
-    h = fac.factors[0][0]
-    ext, alpha = root_extension(ctx, h)
-    witness = find_s_for_alpha(G, alpha, phi)
+    witness = frobenius_element(G, fac.factors[0][0])
     if witness.order() != d:
         raise InvariantViolation("witness order does not equal the factor degree")
-    if gf.minimal_poly(alpha, ctx) != h:
-        raise InvariantViolation("bootstrap root has the wrong minimal polynomial")
     return SpecializationFactors(target, lam, True, fac.factors, d, 1, witness)
 
 
-def all_cubics_product(ctx: gf.FieldCtx, seed: int = 0) -> upoly.Poly:
+def all_cubics_product(ctx: gf.FieldCtx) -> upoly.Poly:
     """f - phi(alpha)*g for alpha of degree 3 equals the product of every
     monic irreducible cubic; returns that product."""
     G = go.full_pgl(ctx)

@@ -282,7 +282,6 @@ def _ex_involution_solutions() -> str:
     for p in (2, 3):
         ctx = gf.prime_field(p)
         q = ctx.order
-        ext2 = gf.extension_of(ctx, 2)
         G = go.full_pgl(ctx)
         for s in G.elements:
             if s.is_identity():
@@ -291,12 +290,11 @@ def _ex_involution_solutions() -> str:
             count = ps.deg  # squarefree, so the number of finite solutions
             _expect(upoly.gcd(ps, ps.derivative()).deg == 0, "companion not squarefree")
             _expect(count in (q, q + 1), "solution count is q or q+1")
-            quadratic_roots = [r for r in upoly.roots_in(ps, ext2)
-                               if not gf.in_subfield(r, ctx)]
+            quadratics = [h for h, _ in upoly.factorize(ps).factors if h.deg == 2]
             if s.order() == 2:
-                _expect(quadratic_roots, "an involution must move some quadratic point")
-            for root in quadratic_roots:
-                witness = sf.find_s_for_alpha(G, root)
+                _expect(quadratics, "an involution must move some quadratic point")
+            for h in quadratics:
+                witness = sf.frobenius_element(G, h)
                 _expect(witness.order() == 2, "only involutions act there")
     return "counts in {q, q+1}; quadratic solutions pin involutions"
 

@@ -252,10 +252,10 @@ def test_phi_orbit_test_partitions(F7):
     orbits = [o.points for o in report.orbits]
     assert len(orbits) == 2
     a0, a1 = orbits[0][0], orbits[0][1]
-    b0 = orbits[1][0]
-    assert inv.phi_orbit_test(G, phi, a0, a1)
-    assert not inv.phi_orbit_test(G, phi, a0, b0)
-    assert inv.phi_orbit_test(G, phi, b0, b0)
+    b0, b1 = orbits[1][0], orbits[1][1]
+    assert phi.eval_point(a0) == phi.eval_point(a1)
+    assert phi.eval_point(a0) != phi.eval_point(b0)
+    assert phi.eval_point(b0) == phi.eval_point(b1)
 
 
 def test_phi_same_value_on_quadratic_layer_full_group(F3):

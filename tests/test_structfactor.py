@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from orbitfactor import classes as cl
 from orbitfactor import gf, grouporbit as go, invariants as inv, moebius as mo, upoly
 from orbitfactor import structfactor as sf
-from orbitfactor.errors import IdentityInputError, WrongOrderError
+from orbitfactor.errors import IdentityInputError, InvariantViolation, WrongOrderError
 
 
 def P(ctx, *ints):
@@ -37,28 +38,40 @@ def test_companion_identity_is_field_polynomial(F7):
     assert sf.frobenius_companion(s) == upoly.Poly.x_pow(F7, 7) - upoly.Poly.x(F7)
 
 
-def test_find_s_for_alpha_quadratic_gives_involution(F7):
+def test_frobenius_element_quadratic_gives_involution(F7):
     G = go.full_pgl(F7)
     ext = gf.extension_of(F7, 2)
     alpha = next(v for v in ext.elements() if not gf.in_subfield(v, F7))
-    s = sf.find_s_for_alpha(G, alpha)
+    s = sf.frobenius_element(G, gf.minimal_poly(alpha, F7))
     assert s.order() == 2
+    assert s.apply(mo.ProjPoint(alpha)) == mo.ProjPoint(alpha ** 7)
 
 
-def test_find_s_for_alpha_cubic_gives_order_three(F5):
+def test_frobenius_element_cubic_gives_order_three(F5):
     G = go.full_pgl(F5)
     ext = gf.extension_of(F5, 3)
     alpha = ext.gen()
-    s = sf.find_s_for_alpha(G, alpha)
+    s = sf.frobenius_element(G, gf.minimal_poly(alpha, F5))
     assert s.order() == 3
+    assert s.apply(mo.ProjPoint(alpha)) == mo.ProjPoint(alpha ** 5)
 
 
-def test_find_s_for_alpha_recovers_witness(F19):
+def test_frobenius_element_recovers_witness(F19):
     s = mo.parse_moebius(F19, "(-x-1)/(x-1)")
     res = sf.factor_by_orbit(s)
     G = go.generate(F19, [s])
-    _, alpha = sf.root_extension(F19, res.factors[0].poly)
-    assert sf.find_s_for_alpha(G, alpha) == s
+    alpha = gf.extend(F19, res.factors[0].poly).gen()
+    assert sf.frobenius_element(G, gf.minimal_poly(alpha, F19)) == s
+
+
+def test_frobenius_element_missing_from_the_group(F5):
+    # the roots of a cubic are moved to their q-th powers by elements of
+    # order 3, and a subgroup of order 2 has none
+    G = go.generate(F5, [mo.parse_moebius(F5, "-x")])
+    assert len(G) == 2
+    cubic = next(upoly.monic_irreducibles(F5, 3))
+    with pytest.raises(InvariantViolation):
+        sf.frobenius_element(G, cubic)
 
 
 def test_factor_by_orbit_headline(F19):
@@ -166,6 +179,66 @@ def test_lambda_report_top_count(p):
     report = sf.lambda_family_report(s)
     count, predicted = report.counts[p + 1]
     assert count == predicted == sf._euler_phi(p + 1)
+
+
+# The paths the Frobenius-element test replaced, kept as references: the
+# factor degree of f - lambda*g by factoring it, and the witness by scanning
+# G at a root y of h in the extension field F_q[y]/(h).
+
+
+def _degree_by_factoring(h):
+    fac = upoly.factorize(h)
+    degrees = {poly.deg for poly, _ in fac.factors}
+    assert len(degrees) == 1 and all(mult == 1 for _, mult in fac.factors)
+    return degrees.pop()
+
+
+def _witness_by_root_scan(G, h):
+    alpha = gf.extend(G.ctx, h).gen()
+    target = mo.ProjPoint(alpha ** G.ctx.order)
+    return next(s for s in G.elements if s.apply(mo.ProjPoint(alpha)) == target)
+
+
+def _element_of_order_q_plus_1(ctx):
+    one, zero = ctx.one(), ctx.zero()
+    return next(s for a in ctx.elements() for b in ctx.elements() if b
+                for s in [mo.Moebius(a, b, one, zero)] if s.order() == ctx.order + 1)
+
+
+# every q <= 31 but 29 (left out to keep the test near 4 s): even and odd,
+# prime and not
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (23, 1),
+                                 (5, 2), (3, 3), (31, 1)])
+def test_lambda_report_matches_factoring_reference(p, m):
+    ctx = gf.field_create(p, m)
+    s = _element_of_order_q_plus_1(ctx)
+    G = go.Subgroup(ctx, s.powers())
+    f, g = inv.invariant_generator(G).monic_pair()
+    counts = {}
+    for lam in ctx.elements():
+        h = f - g.scale(lam)
+        d = _degree_by_factoring(h)
+        assert sf.frobenius_element(G, h).order() == d
+        counts[d] = counts.get(d, 0) + 1
+    report = sf.lambda_family_report(s)
+    assert {r: c for r, (c, _) in report.counts.items() if c} == counts
+    assert report.total == ctx.order
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_factor_f_lambda_witness_matches_root_scan(p, m):
+    ctx = gf.field_create(p, m)
+    groups = [go.full_pgl(ctx)] + [go.generate(ctx, [label.representative])
+                                   for label in cl.conjugacy_classes(ctx) if label.order > 1]
+    checked = 0
+    for G in groups:
+        for lam in ctx.elements():
+            res = sf.factor_f_lambda(G, lam)
+            if res.regular and res.degree > 1:
+                assert res.witness == _witness_by_root_scan(G, res.factors[0][0])
+                checked += 1
+    assert checked >= ctx.order
 
 
 def test_numerator_structure(F7):
@@ -302,7 +375,8 @@ def test_solution_counts(F3):
 def test_bootstrap_power_compatibility(F19):
     s = mo.parse_moebius(F19, "(-x-1)/(x-1)")
     res = sf.factor_by_orbit(s)
-    ext, alpha = sf.root_extension(F19, res.factors[0].poly)
+    ext = gf.extend(F19, res.factors[0].poly)
+    alpha = ext.gen()
     s_ext = s.lift_to(ext)
     z = mo.ProjPoint(alpha)
     for i in range(1, 5):
