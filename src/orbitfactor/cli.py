@@ -78,8 +78,9 @@ def build_parser() -> _Parser:
 
     p_verify = subs.add_parser("verify", help="replay the built-in check suites")
     p_verify.add_argument("--suite", choices=("paper-examples", "lemmas"), required=True)
-    p_verify.add_argument("--p", type=int, default=None, help="only checks at this q")
-    p_verify.add_argument("--m", type=int, default=1)
+    p_verify.add_argument("--p", type=int, default=None, help="only checks at q = p^m")
+    p_verify.add_argument("--m", type=int, default=1,
+                          help="with --p: extension degree; q = p^m (default 1)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--seed", type=int, default=0)
 
@@ -319,7 +320,8 @@ def _cmd_lang(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_suite(args.suite, args.p)
+    _require_positive("--m", args.m)
+    results = verify.run_suite(args.suite, None if args.p is None else args.p ** args.m)
     lines = []
     ok_all = True
     for res in results:

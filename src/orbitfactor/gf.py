@@ -38,11 +38,15 @@ _CACHE_LIMIT = 64
 
 
 def size_cap() -> int:
-    """Configured cardinality cap (env ORBITFACTOR_SIZE_CAP, default 2^20)."""
+    """Configured cardinality cap (env ORBITFACTOR_SIZE_CAP, an integer;
+    default 2^20)."""
     raw = os.environ.get(_ENV_CAP)
-    if raw:
+    if not raw:
+        return DEFAULT_SIZE_CAP
+    try:
         return int(raw)
-    return DEFAULT_SIZE_CAP
+    except ValueError:
+        raise SizeCapError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 def is_prime(n: int) -> bool:

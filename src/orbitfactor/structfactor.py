@@ -9,6 +9,12 @@ and one more (see :func:`invariants.orbit_family`), without expanding the
 orbit polynomial over F_q(x).  The factors are found by sweeping lambda over
 F_q, using only F_q arithmetic, and the result is cross-checked against
 exact reconstruction of the input.
+
+For s of order exactly q+1, every specialization f - lambda*g of the
+invariant generator f/g of <s> is itself, up to a unit, the companion
+polynomial of one element s + nu of <s> (the matrix of s plus nu times the
+identity), so :func:`lambda_family_report` reads each factor degree off
+that element's order.
 """
 
 from __future__ import annotations
@@ -196,69 +202,46 @@ def lambda_family_report(s: mo.Moebius) -> LambdaFamilyReport:
     """For s of order exactly q+1: the factor degree of f - lambda*g for
     every lambda in F_q.
 
-    G = <s> is abelian, so one element w of G moves every root of
-    h = f - lambda*g to its q-th power (:func:`frobenius_element` on the
-    whole of h); h divides the squarefree companion of w, and when no root of
-    h is a fixed point of s every factor of h has degree order(w).  The
-    common degree r appears for exactly phi(r) values of lambda, for each
-    divisor r > 1 of q+1, and the counts sum to q.  No lambda ever yields a
-    linear factor.
+    Every orbit-polynomial coefficient has numerator mu*(companion of s) +
+    nu*(x^q - x), and adding nu*(T^q - T) to the companion of s, with matrix
+    M = (a, b; c, d), gives the companion of M + nu*I.  So each
+    h = f - lambda*g is, up to the unit c, the companion of the element
+    w = (a+nu, b, c, d+nu) of G = <s> with nu = c*h[T^q] - d; that identity,
+    w in G, w not the identity and a different w for each lambda are checked
+    on every lambda.  No root of h
+    is fixed by s (it would be rational, and s is nonsplit), so every factor
+    of h has degree order(w).  The degree r appears for exactly phi(r)
+    values of lambda, for each divisor r > 1 of q+1, and the counts sum
+    to q.
     """
     ctx = s.ctx
     q = ctx.order
     G = go.Subgroup(ctx, s.powers())
     if len(G) != q + 1:
         raise WrongOrderError(f"order must be exactly q+1 = {q + 1}")
-    phi = inv.invariant_generator(G)
-    f, g = phi.monic_pair()
-    # the fixed points of s, shared by every non-identity power of s
-    fixed = upoly.Poly(ctx, (-s.b, s.d - s.a, s.c))
+    f, g = inv.invariant_generator(G).monic_pair()
+    a, b, c, d = s.entries()
+    seen = set()
     counts: dict[int, int] = {}
     for lam in ctx.elements():
         h = f - g.scale(lam)
-        if upoly.gcd(h, fixed).deg > 0:
-            raise InvariantViolation("factors of one specialization have mixed degrees")
-        w = frobenius_element(G, h)
-        if w.is_identity():
-            raise InvariantViolation("a linear factor appeared; impossible for this family")
-        d = w.order()
-        counts[d] = counts.get(d, 0) + 1
+        nu = c * h.coeffs[q] - d
+        w = mo.Moebius(a + nu, b, c, d + nu)
+        if w.is_identity() or w not in G or w in seen:
+            raise InvariantViolation("f - lambda*g is not the companion of a new "
+                                     "non-identity element of <s>")
+        if frobenius_companion(w).monic() != h:
+            raise InvariantViolation("f - lambda*g is not the companion of M + nu*I")
+        seen.add(w)
+        r = w.order()
+        counts[r] = counts.get(r, 0) + 1
     report = {r: (counts.get(r, 0), _euler_phi(r))
               for r in divisors(q + 1) if r > 1}
-    total = sum(c for c, _ in report.values())
+    total = sum(n for n, _ in report.values())
     result = LambdaFamilyReport(report, total)
     if not result.passed() or total != q:
         raise InvariantViolation("lambda counts do not match the phi(r) law")
     return result
-
-
-def numerator_structure_check(s: mo.Moebius) -> bool:
-    """For s of order exactly q+1: every nonconstant orbit-polynomial
-    coefficient has numerator mu*(companion of s) + lambda*(x^q - x), and the
-    common denominator is x^q - x itself."""
-    ctx = s.ctx
-    q = ctx.order
-    G = go.Subgroup(ctx, s.powers())
-    if len(G) != q + 1:
-        raise WrongOrderError(f"order must be exactly q+1 = {q + 1}")
-    P = inv.orbit_polynomial(G)
-    xqx = upoly.Poly.x_pow(ctx, q) - upoly.Poly.x(ctx)
-    ps = frobenius_companion(s)
-    for coeff in P.coeffs:
-        if coeff.is_constant():
-            continue
-        if coeff.den != xqx:
-            raise InvariantViolation("denominator is not x^q - x")
-        B = coeff.num
-        mu = B.lc() / ps.lc()
-        residual = B - ps.scale(mu)
-        if residual:
-            if residual.deg != q:
-                raise InvariantViolation("numerator is not in the two-term span")
-            lam = residual.lc()
-            if residual != xqx.scale(lam):
-                raise InvariantViolation("numerator is not in the two-term span")
-    return True
 
 
 # -- arbitrary subgroups: f - lambda*g ----------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitfactor import classes as cl, cli
+from orbitfactor import classes as cl, cli, gf, verify
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +202,25 @@ def test_verify_suite_filtered(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "paper-examples", "--p", "19")
     assert code == 0
     assert "[PASS]" in out
+
+
+def test_verify_p_and_m_select_q(capsys):
+    want = [name for name, q, _ in verify._REGISTRY["paper-examples"] if q == 4]
+    assert want
+    for argv in (("--p", "2", "--m", "2"), ("--p", "4")):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "paper-examples", *argv,
+                               "--json")
+        assert code == 0
+        assert [r["name"] for r in json.loads(out)["results"]] == want
+
+
+def test_bad_size_cap_is_a_typed_error(capsys, monkeypatch):
+    monkeypatch.setattr(gf, "_create_cache", {})
+    monkeypatch.setenv("ORBITFACTOR_SIZE_CAP", "abc")
+    code, out, err = run_cli(capsys, "classes", "--p", "3", "--m", "1")
+    assert code == 2 and not out
+    assert err.startswith("error: SizeCapError:")
+    assert "ORBITFACTOR_SIZE_CAP" in err and "'abc'" in err
 
 
 def test_verify_json(capsys):

@@ -167,9 +167,10 @@ def test_lambda_report_two(F2):
     assert report.total == 2
 
 
-def test_lambda_report_wrong_order(F7):
+@pytest.mark.parametrize("text", ["x+1", "3x"])
+def test_lambda_report_wrong_order(F7, text):
     with pytest.raises(WrongOrderError):
-        sf.lambda_family_report(mo.parse_moebius(F7, "x+1"))
+        sf.lambda_family_report(mo.parse_moebius(F7, text))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -226,6 +227,47 @@ def test_lambda_report_matches_factoring_reference(p, m):
     assert report.total == ctx.order
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_lambda_report_every_element_of_order_q_plus_1(p, m):
+    ctx = gf.field_create(p, m)
+    checked = 0
+    for s in go.full_pgl(ctx):
+        if s.order() != ctx.order + 1:
+            continue
+        G = go.Subgroup(ctx, s.powers())
+        f, g = inv.invariant_generator(G).monic_pair()
+        counts = {}
+        for lam in ctx.elements():
+            d = _degree_by_factoring(f - g.scale(lam))
+            counts[d] = counts.get(d, 0) + 1
+        report = sf.lambda_family_report(s)
+        assert {r: c for r, (c, _) in report.counts.items() if c} == counts
+        checked += 1
+    assert checked == ctx.order * (ctx.order - 1) // 2 * sf._euler_phi(ctx.order + 1)
+
+
+def test_lambda_report_needs_no_powmod_or_factoring(monkeypatch, F7):
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the lambda report must not call this")
+
+    monkeypatch.setattr(upoly, "powmod", forbidden)
+    monkeypatch.setattr(upoly, "factorize", forbidden)
+    monkeypatch.setattr(sf, "frobenius_element", forbidden)
+    report = sf.lambda_family_report(s)
+    assert report.counts == {2: (1, 1), 4: (2, 2), 8: (4, 4)}
+
+
+def test_lambda_report_checks_the_companion_identity(monkeypatch, F7):
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+    companion = sf.frobenius_companion
+    monkeypatch.setattr(sf, "frobenius_companion",
+                        lambda w: companion(w) + upoly.Poly.one(F7))
+    with pytest.raises(InvariantViolation, match="companion"):
+        sf.lambda_family_report(s)
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_factor_f_lambda_witness_matches_root_scan(p, m):
     ctx = gf.field_create(p, m)
@@ -239,13 +281,6 @@ def test_factor_f_lambda_witness_matches_root_scan(p, m):
                 assert res.witness == _witness_by_root_scan(G, res.factors[0][0])
                 checked += 1
     assert checked >= ctx.order
-
-
-def test_numerator_structure(F7):
-    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
-    assert sf.numerator_structure_check(s)
-    with pytest.raises(WrongOrderError):
-        sf.numerator_structure_check(mo.parse_moebius(F7, "3x"))
 
 
 def test_factor_f_lambda_pgl3(F3):
