@@ -6,11 +6,23 @@ F_p -> F_q -> F_{q^k} -> ... has any depth, and every extension of a field
 is :func:`extend` or :func:`extension_of` over that field.
 
 Every element is an encoded int: a residue mod p, or sum(c_i * |base|^i)
-over the encodings c_i of its coordinates over the base.  A field of at most
-256 elements answers add, mul, neg and inv from tables built with the field
-from the discrete logs of a primitive element; a larger field computes, on
-residues mod p or on coordinate vectors reduced by the modulus, with inverses
-by the extended Euclidean algorithm.  All values are immutable.
+over the encodings c_i of its coordinates over the base.  Arithmetic on
+encodings comes in three tiers, chosen when the field is built:
+
+* tables: a field of at most 256 elements (``_TABLE_LIMIT``) answers add,
+  mul, neg and inv from 2-D lookup tables;
+* logs: an extension field of 257 to 4096 elements (``_ELEM_CACHE_LIMIT``)
+  answers from the 1-D exp, log and Zech-log arrays of a primitive element,
+  and in characteristic 2 adds by XOR of encodings;
+* computed: a prime field above 256 elements works on residues mod p, and
+  an extension field above 4096 elements on coordinate vectors reduced by
+  the modulus, with inverses by the extended Euclidean algorithm.
+
+The first two tiers come from the same discrete-log arrays, built with the
+field from about 2 * sqrt(order) computed products and one computed add per
+element.
+
+All values are immutable.
 """
 
 from __future__ import annotations
@@ -29,9 +41,10 @@ from .errors import (
 DEFAULT_SIZE_CAP = 1 << 20
 _ENV_CAP = "ORBITFACTOR_SIZE_CAP"
 
-# contexts small enough to keep a full table of element objects
+# contexts small enough to keep a full table of element objects; extension
+# fields of 257 up to this many elements answer from exp/log/Zech arrays
 _ELEM_CACHE_LIMIT = 4096
-# fields small enough for full arithmetic lookup tables
+# fields small enough for 2-D arithmetic lookup tables (the first tier)
 _TABLE_LIMIT = 256
 # contexts memoized by prime_field, field_create and extend, oldest evicted first
 _CACHE_LIMIT = 64
@@ -70,7 +83,9 @@ class FieldCtx:
     Elements are encoded ints (see :meth:`FieldElem.encode`), and the context
     owns ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` on them, plus
     ``addmul(ys, a, xs)``, the list ``ys + a*xs`` taken elementwise.  Fields
-    of at most 256 elements answer from lookup tables; larger ones compute.
+    of at most 256 elements answer from 2-D lookup tables, extension fields
+    of 257 to 4096 elements from exp/log/Zech arrays, and larger fields (and
+    prime fields above 256) compute.
 
     Do not call the constructor directly; use :func:`prime_field`,
     :func:`field_create` or :func:`extend` so contexts are validated,
@@ -110,12 +125,14 @@ class FieldCtx:
             self.order = base.order ** self.degree
             self._mod = mod
             ops = _vector_ops(base, tuple(c.rep for c in mod))
-        self.add, self.sub, self.neg, self.mul, self.inv, self.addmul = ops
+        # ops[0] and ops[3] are the computed add and mul
         self._tables = None
         if self.order <= _TABLE_LIMIT:
-            self._tables = _log_tables(self.order, self.add, self.neg, self.mul)
-            self.add, self.sub, self.neg, self.mul, self.inv, self.addmul = \
-                _table_ops(self._tables)
+            self._tables = _log_tables(p, *_log_arrays(p, self.order, ops[0], ops[3]))
+            ops = _table_ops(self._tables)
+        elif base is not None and self.order <= _ELEM_CACHE_LIMIT:
+            ops = _log_ops(p, *_log_arrays(p, self.order, ops[0], ops[3]))
+        self.add, self.sub, self.neg, self.mul, self.inv, self.addmul = ops
         self._elems = None
         if self.order <= _ELEM_CACHE_LIMIT:
             self._elems = tuple(FieldElem(self, i) for i in range(self.order))
@@ -211,8 +228,9 @@ class FieldCtx:
         return (FieldElem(self, i) for i in range(self.order))
 
     def tables(self):
-        """(add, mul, neg, inv) lookup tables on encoded values, built with the
-        field; None when the field has more than 256 elements."""
+        """(add, mul, neg, inv) 2-D lookup tables on encoded values, built
+        with the field; None when the field has more than 256 elements,
+        including the 257..4096 extension fields that answer from logs."""
         return self._tables
 
 
@@ -371,13 +389,10 @@ def _vector_ops(base: FieldCtx, mod: tuple) -> tuple:
     b = base.order
     badd, bsub, bneg, bmul, binv, baddmul = (base.add, base.sub, base.neg, base.mul,
                                              base.inv, base.addmul)
-    if _TABLE_LIMIT < b ** k <= _ELEM_CACHE_LIMIT:
-        # an untabulated field keeps these ops, and each splits its operands:
-        # list the splits once
-        digits = [tuple(_digits(x, b, k)) for x in range(b ** k)].__getitem__
-    else:
-        def digits(x):
-            return _digits(x, b, k)
+
+    def digits(x):
+        return _digits(x, b, k)
+
     # rows[j] = coordinate vector of y^(k+j) modulo mod
     rows = [[bneg(c) for c in mod[:k]]]
     for _ in range(k - 2):
@@ -475,31 +490,56 @@ def _primitive_element(order: int, mul) -> int:
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
-def _log_tables(order: int, add, neg, mul) -> tuple:
-    """(add, mul, neg, inv) tables from discrete logs to a primitive g.
+def _log_arrays(p: int, order: int, add, mul) -> tuple:
+    """(exp, log, zech) for the least primitive element g, n = order - 1.
 
-    g^i * g^j = g^(i+j) and g^i + g^j = g^i * (1 + g^(j-i)), so only the
-    powers of g and the sums 1 + g^k come from the computed field: O(order)
-    field operations instead of O(order^2).
+    exp[i] = g^i for 0 <= i < n, log[exp[i]] = i (log[0] is unused), and
+    zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0.
+
+    An encoding is the base-p digits of the F_p coordinates of its element,
+    at every tower depth.  So for c a power of p, x is the sum of x % c and
+    c * (x // c), and x * g is the sum of their products with g.  With those
+    products listed (about 2 * sqrt(order) computed multiplications), each
+    power of g costs one computed add, an XOR in characteristic 2.  Adding 1
+    changes only the constant digit x % p, so zech costs no field operation.
     """
     n = order - 1
     g = _primitive_element(order, mul)
+    if p == 2:
+        add = int.__xor__
+    c = p
+    while c * c < order:
+        c *= p
+    low = [mul(x, g) for x in range(c)]
+    high = [mul(c * x, g) for x in range(order // c)]
     exp = [1] * n
     for i in range(1, n):
-        exp[i] = mul(exp[i - 1], g)
+        x = exp[i - 1]
+        exp[i] = add(low[x % c], high[x // c])
     log = [0] * order
     for i, x in enumerate(exp):
         log[x] = i
+    zech = [log[s] if (s := x - x % p + (x % p + 1) % p) else -1 for x in exp]
+    return exp, log, zech
+
+
+def _log_tables(p: int, exp: list, log: list, zech: list) -> tuple:
+    """(add, mul, neg, inv) tables from the arrays of :func:`_log_arrays`.
+
+    g^i * g^j = g^(i+j) and g^i + g^j = g^i * (1 + g^(j-i)); -1 is 1 in
+    characteristic 2 and g^(n/2) otherwise.
+    """
+    order = len(log)
+    n = order - 1
     logs = log[1:]
     exp2 = exp + exp
-    # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0; zech[l - i] wraps mod n
-    zech = [log[s] if (s := add(1, x)) else -1 for x in exp]
+    # zech[l - i] wraps mod n
     add_t = [list(range(order))] + [None] * n
     mul_t = [[0] * order] + [None] * n
     for i, a in enumerate(exp):
         mul_t[a] = [0] + [exp2[i + l] for l in logs]
         add_t[a] = [a] + [exp2[i + z] if (z := zech[l - i]) >= 0 else 0 for l in logs]
-    neg_t = [neg(x) for x in range(order)]
+    neg_t = list(range(order)) if p == 2 else [0] + [exp2[l + n // 2] for l in logs]
     inv_t = [0] + [exp2[n - l] for l in logs]
     return add_t, mul_t, neg_t, inv_t
 
@@ -515,6 +555,67 @@ def _table_ops(tables: tuple) -> tuple:
 
     return (lambda x, y: add_t[x][y], lambda x, y: add_t[x][neg_t[y]], neg_t.__getitem__,
             lambda x, y: mul_t[x][y], inv_t.__getitem__, addmul)
+
+
+def _log_ops(p: int, exp: list, log: list, zech: list) -> tuple:
+    """(add, sub, neg, mul, inv, addmul) on the arrays of :func:`_log_arrays`.
+
+    x * y = g^(log x + log y) and 1/x = g^(n - log x).  In characteristic 2
+    an encoding is the bit vector of its F_2 coordinates, so x + y = x ^ y
+    and -x = x; otherwise x + y = g^(log x + zech[log y - log x]) and
+    -x = g^(log x + n/2).  Setting log 0 = 2n, past two periods of exp and
+    into a run of zeros, makes a zero factor need no test.
+    """
+    n = len(exp)
+    log[0] = 2 * n
+    E = exp + exp + [0] * (2 * n + 1)
+
+    def mul(x, y):
+        return E[log[x] + log[y]]
+
+    def inv(x):
+        return E[n - log[x]]
+
+    if p == 2:
+        def addmul(ys, a, xs):
+            la = log[a]
+            return [y ^ E[la + log[x]] for x, y in zip(xs, ys)]
+
+        return int.__xor__, int.__xor__, lambda x: x, mul, inv, addmul
+
+    h = n // 2
+    # two periods, so that an index in (-n, 2n) needs no reduction; the k with
+    # 1 + g^k = 0 points into the zeros of E
+    Z = [z if z >= 0 else 2 * n for z in zech] * 2
+
+    def add(x, y):
+        if not x:
+            return y
+        if not y:
+            return x
+        lx = log[x]
+        return E[lx + Z[log[y] - lx]]
+
+    def sub(x, y):
+        if not y:
+            return x
+        if not x:
+            return E[log[y] + h]
+        lx = log[x]
+        return E[lx + Z[log[y] + h - lx]]
+
+    def neg(x):
+        return E[log[x] + h]
+
+    def addmul(ys, a, xs):
+        # one log per row: a * x = g^(la + log x)
+        if not a:
+            return list(ys)
+        la = log[a]
+        return [(E[ly + Z[la + log[x] - ly]] if (ly := log[y]) < n else E[la + log[x]])
+                if x else y for x, y in zip(xs, ys)]
+
+    return add, sub, neg, mul, inv, addmul
 
 
 # -- context constructors ------------------------------------------------------
@@ -553,14 +654,15 @@ def field_create(p: int, m: int, cap: Optional[int] = None) -> FieldCtx:
     """
     if m < 1:
         raise SizeCapError("extension degree must be at least 1")
+    base = prime_field(p)
+    # the cap is read before the cache, as in extend
+    limit = size_cap() if cap is None else cap
+    if p ** m > limit:
+        raise SizeCapError(f"{p}^{m} exceeds the size cap {limit}")
     key = (p, m)
     ctx = _create_cache.get(key)
     if ctx is not None:
         return ctx
-    base = prime_field(p)
-    limit = size_cap() if cap is None else cap
-    if p ** m > limit:
-        raise SizeCapError(f"{p}^{m} exceeds the size cap {limit}")
     if m == 1:
         ctx = base
     else:

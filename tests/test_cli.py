@@ -18,7 +18,9 @@ def run_cli(capsys, *argv):
 # F_9, --k 2 over F_3 and F_4 and --k 3 over F_3, orbit-poly over a
 # generating set of PGL(2,5), classes over F_3, F_8 and F_9 with and
 # without --lambda, orbits over F_11, F_9 and the F_4 -> F_16 tower, and lang
-# over F_2), text and --json
+# over F_2), text and --json; and, on fields of 257 to 4096 elements, lang
+# over F_4 (F_1024), orbits --ext 3 over F_7 (F_343) and --ext 4 over F_5
+# (F_625), and factor --k 2 over F_17 (F_289)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -215,7 +217,7 @@ def test_verify_p_and_m_select_q(capsys):
 
 
 def test_bad_size_cap_is_a_typed_error(capsys, monkeypatch):
-    monkeypatch.setattr(gf, "_create_cache", {})
+    gf.field_create(3, 1)  # a cached field still reads the cap
     monkeypatch.setenv("ORBITFACTOR_SIZE_CAP", "abc")
     code, out, err = run_cli(capsys, "classes", "--p", "3", "--m", "1")
     assert code == 2 and not out

@@ -1,8 +1,13 @@
-"""Field arithmetic on both sides of the 256-element table limit.
+"""Field arithmetic in each of the three tiers of ``gf``.
 
-Every field is checked against an independent reference: prime fields
-against Python ints mod p, extension fields against polynomial arithmetic
-over the base modulo the defining polynomial.
+TABULATED fields (at most 256 elements) answer from 2-D lookup tables, LOGS
+fields (extension fields of 257 to 4096 elements) from exp/log/Zech arrays,
+and COMPUTED fields (prime fields above 256, extension fields above 4096)
+compute on residues or coordinate vectors.  Every field is checked against an
+independent reference: prime fields against Python ints mod p, extension
+fields against polynomial arithmetic over the base modulo the defining
+polynomial.  The LOGS fields are also checked against the computed ops of
+``gf._vector_ops`` on every element.
 """
 
 import random
@@ -32,15 +37,22 @@ TABULATED = {
     "F4^2": _tower_16,
     "F4^2^2": lambda: _tower_over_16(2),
 }
-COMPUTED = {
-    "F257": lambda: gf.prime_field(257),
+LOGS = {
     "F289": lambda: gf.field_create(17, 2),
+    "F343": lambda: gf.field_create(7, 3),
     "F512": lambda: gf.field_create(2, 9),
+    "F625": lambda: gf.field_create(5, 4),
     "F4^5": lambda: gf.extension_of(gf.field_create(2, 2), 5),
-    "F289^2": lambda: gf.extension_of(gf.field_create(17, 2), 2),
+    "F3^7": lambda: gf.field_create(3, 7),
     "F4^2^3": lambda: _tower_over_16(3),
 }
-FIELDS = {**TABULATED, **COMPUTED}
+COMPUTED = {
+    "F257": lambda: gf.prime_field(257),
+    "F289^2": lambda: gf.extension_of(gf.field_create(17, 2), 2),
+}
+FIELDS = {**TABULATED, **LOGS, **COMPUTED}
+EXTENSIONS = ["F169", "F256", "F4^2", "F289", "F343", "F512", "F625", "F4^5", "F3^7", "F289^2",
+              "F4^2^2", "F4^2^3"]
 
 
 def _sample(ctx, n=24, seed=0):
@@ -57,7 +69,7 @@ def _as_poly(x):
 def test_tables_exactly_up_to_256(name):
     ctx = FIELDS[name]()
     assert (ctx.tables() is None) == (ctx.order > 256)
-    assert (ctx.tables() is None) == (name in COMPUTED)
+    assert (ctx.tables() is None) == (name not in TABULATED)
 
 
 @pytest.mark.parametrize("name", ["F13", "F251", "F257"])
@@ -80,8 +92,7 @@ def test_prime_field_matches_int_residues(name):
                 assert (a / b).rep == a.rep * pow(b.rep, p - 2, p) % p
 
 
-@pytest.mark.parametrize("name", ["F169", "F256", "F4^2", "F289", "F512", "F4^5", "F289^2",
-                                  "F4^2^2", "F4^2^3"])
+@pytest.mark.parametrize("name", EXTENSIONS)
 def test_extension_matches_polynomials_mod_modulus(name):
     ctx = FIELDS[name]()
     mod = ctx.modulus
@@ -104,8 +115,7 @@ def test_extension_matches_polynomials_mod_modulus(name):
             assert _as_poly(a * b) == (pa * pb) % mod
 
 
-@pytest.mark.parametrize("name", ["F169", "F256", "F4^2", "F289", "F512", "F4^5", "F289^2",
-                                  "F4^2^2", "F4^2^3"])
+@pytest.mark.parametrize("name", EXTENSIONS)
 def test_embed_down_cast_round_trips(name):
     ctx = FIELDS[name]()
     chain = []
@@ -125,6 +135,49 @@ def test_embed_down_cast_round_trips(name):
             gf.down_cast(alpha, sub)
     with pytest.raises(CtxMismatchError):
         gf.embed(alpha, ctx.base)
+
+
+@pytest.mark.parametrize("name", sorted(LOGS))
+def test_log_tier_matches_computed_ops_on_the_whole_field(name):
+    ctx = FIELDS[name]()
+    add, sub, neg, mul, inv, addmul = gf._vector_ops(ctx.base, tuple(c.rep for c in ctx._mod))
+    everything = list(range(ctx.order))
+    others = [x.rep for x in _sample(ctx, n=5, seed=1)]
+    for x in everything:
+        assert ctx.neg(x) == neg(x)
+        if x:
+            assert ctx.inv(x) == inv(x)
+        for y in others:
+            assert ctx.add(x, y) == add(x, y) and ctx.add(y, x) == add(y, x)
+            assert ctx.sub(x, y) == sub(x, y) and ctx.sub(y, x) == sub(y, x)
+            assert ctx.mul(x, y) == mul(x, y)
+    shifted = everything[1:] + everything[:1]
+    for a in others:
+        assert ctx.addmul(shifted, a, everything) == addmul(shifted, a, everything)
+
+
+@pytest.mark.parametrize("name", sorted(LOGS))
+def test_log_tier_needs_no_digit_split(monkeypatch, name):
+    ctx = FIELDS[name]()
+    xs = _sample(ctx, n=8)
+
+    def split(*args):
+        raise AssertionError("log-tier arithmetic split an encoding")
+
+    monkeypatch.setattr(gf, "_number", split)
+    monkeypatch.setattr(gf, "_digits", split)
+    one = ctx.one()
+    for a in xs:
+        assert a ** (ctx.order - 1) == (one if a else ctx.zero())
+        if a:
+            assert a * a.inverse() == one
+        for b in xs:
+            assert (a + b) - b == a and (a - b) + b == a and -(a - b) == b - a
+            assert (a + b) * (a - b) == a * a - b * b
+    f = upoly.Poly(ctx, xs[3:])
+    g = upoly.Poly(ctx, xs[:4] + [one])
+    q, r = divmod(f * g + g.derivative(), g)
+    assert q == f and r == g.derivative()
 
 
 def test_encoding_is_little_endian_over_the_base():
@@ -172,6 +225,18 @@ def test_extend_is_memoized_and_bounded(monkeypatch):
     rebuilt = gf.extend(F5, moduli[0])  # the oldest was evicted
     assert rebuilt is not fields[0] and rebuilt == fields[0]
     assert len(gf._extend_cache) == 3
+
+
+def test_field_create_reads_the_cap_before_its_cache(monkeypatch):
+    F9 = gf.field_create(3, 2)
+    assert gf.field_create(3, 2) is F9
+    monkeypatch.setenv("ORBITFACTOR_SIZE_CAP", "8")
+    with pytest.raises(SizeCapError):
+        gf.field_create(3, 2)
+    with pytest.raises(SizeCapError):
+        gf.field_create(3, 2, cap=8)
+    monkeypatch.setenv("ORBITFACTOR_SIZE_CAP", "9")
+    assert gf.field_create(3, 2) is F9
 
 
 @pytest.mark.parametrize("make, cache, key_of", [
