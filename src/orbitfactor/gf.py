@@ -46,7 +46,7 @@ _ENV_CAP = "ORBITFACTOR_SIZE_CAP"
 _ELEM_CACHE_LIMIT = 4096
 # fields small enough for 2-D arithmetic lookup tables (the first tier)
 _TABLE_LIMIT = 256
-# contexts memoized by prime_field, field_create and extend, oldest evicted first
+# contexts memoized by prime_field and extend, oldest evicted first
 _CACHE_LIMIT = 64
 
 
@@ -621,7 +621,6 @@ def _log_ops(p: int, exp: list, log: list, zech: list) -> tuple:
 # -- context constructors ------------------------------------------------------
 
 _prime_cache: dict = {}
-_create_cache: dict = {}
 _extend_cache: dict = {}
 
 
@@ -659,17 +658,7 @@ def field_create(p: int, m: int, cap: Optional[int] = None) -> FieldCtx:
     limit = size_cap() if cap is None else cap
     if p ** m > limit:
         raise SizeCapError(f"{p}^{m} exceeds the size cap {limit}")
-    key = (p, m)
-    ctx = _create_cache.get(key)
-    if ctx is not None:
-        return ctx
-    if m == 1:
-        ctx = base
-    else:
-        h = least_irreducible(base, m)
-        ctx = FieldCtx(p, base, tuple(h.coeffs))
-    _remember(_create_cache, key, ctx)
-    return ctx
+    return extension_of(base, m, cap=limit)
 
 
 def extend(base: FieldCtx, h, cap: Optional[int] = None) -> FieldCtx:

@@ -161,15 +161,14 @@ def stabilizer_of(G: Subgroup, z: mo.ProjPoint,
     return Subgroup(G.ctx, (s for s, lifted in pairs if lifted.apply(z) == z))
 
 
-def orbit_decomposition(G: Subgroup, k: int) -> OrbitReport:
-    """Partition of P^1(F_{q^k}) into G-orbits with stabilizers."""
-    q = G.ctx.order
-    if q ** k > MAX_POINTS:
-        raise SizeCapError(f"{q}^{k} points exceed the enumeration cap")
-    ext = gf.extension_of(G.ctx, k)
+def _orbits(G: Subgroup, points: Iterable[mo.ProjPoint],
+            ext: gf.FieldCtx) -> list[Orbit]:
+    """The G-orbits through points of P^1(ext), each with its stabilizer and
+    checked against the orbit-stabilizer identity, sorted by size and then
+    least point."""
     orbits = []
     assigned: set[mo.ProjPoint] = set()
-    for z in mo.projective_line(ext):
+    for z in points:
         if z in assigned:
             continue
         pts = orbit_of(G, z, ext)
@@ -179,7 +178,16 @@ def orbit_decomposition(G: Subgroup, k: int) -> OrbitReport:
             raise InvariantViolation("orbit-stabilizer identity failed")
         orbits.append(Orbit(pts, stab, len(pts) == len(G)))
     orbits.sort(key=lambda o: (o.size, o.points[0].key()))
-    report = OrbitReport(k, ext, tuple(orbits))
+    return orbits
+
+
+def orbit_decomposition(G: Subgroup, k: int) -> OrbitReport:
+    """Partition of P^1(F_{q^k}) into G-orbits with stabilizers."""
+    q = G.ctx.order
+    if q ** k > MAX_POINTS:
+        raise SizeCapError(f"{q}^{k} points exceed the enumeration cap")
+    ext = gf.extension_of(G.ctx, k)
+    report = OrbitReport(k, ext, tuple(_orbits(G, mo.projective_line(ext), ext)))
     if sum(o.size for o in report.orbits) != ext.order + 1:
         raise InvariantViolation("orbits do not partition the projective line")
     return report
@@ -194,26 +202,17 @@ def nonregular_orbits(G: Subgroup) -> tuple[Orbit, ...]:
     """
     if len(G) == 1:
         return ()
-    ext2 = gf.extension_of(G.ctx, 2)
     candidates: set[mo.ProjPoint] = set()
     for s in G:
         if s.is_identity():
             continue
         candidates.update(s.fixed_points(2))
-    orbits = []
-    assigned: set[mo.ProjPoint] = set()
-    for z in sorted(candidates, key=lambda w: w.key()):
-        if z in assigned:
-            continue
-        pts = orbit_of(G, z, ext2)
-        assigned.update(pts)
-        if not candidates.issuperset(pts):
+    orbits = _orbits(G, candidates, gf.extension_of(G.ctx, 2))
+    for orbit in orbits:
+        if not candidates.issuperset(orbit.points):
             raise InvariantViolation("orbit of a fixed point left the fixed-point set")
-        stab = stabilizer_of(G, pts[0], ext2)
-        if len(pts) * len(stab) != len(G) or len(stab) == 1:
+        if orbit.regular:
             raise InvariantViolation("bad stabilizer for a non-regular orbit")
-        orbits.append(Orbit(pts, stab, False))
-    orbits.sort(key=lambda o: (o.size, o.points[0].key()))
     return tuple(orbits)
 
 

@@ -9,7 +9,10 @@ the family off two orbits: the orbit of infinity, where t has its poles,
 gives the slopes, and one more orbit gives the constants, each a product of
 |G| linear factors, O(|G|^2) operations in F_q or F_{q^2}, for any F_q.
 :func:`orbit_polynomial` builds the rational-function coefficients from the
-family in closed form, without a gcd.
+family in closed form, without a gcd, and the generator of the invariant
+field is its parameter t = -B/Ahat as it stands (Ahat = sum of a_i x^i,
+B = sum of b_i x^i), so each f - lambda*g for that generator f/g is the
+family member sum of (a_i*lambda + b_i) T^i.
 """
 
 from __future__ import annotations
@@ -366,16 +369,16 @@ def _expand_roots(field: gf.FieldCtx, roots: list) -> list:
 def invariant_generator(G: go.Subgroup) -> RatFunc:
     """Canonical generator of the invariant function field of G.
 
-    The lowest-index nonconstant coefficient of the orbit polynomial,
-    rescaled so the numerator is monic of degree |G|; the denominator is the
-    common denominator A(x) and has smaller degree.
+    The parameter t = c_j of the orbit polynomial, read off its family:
+    a_j = 1 and b_j = 0, so t = -B/Ahat for Ahat = sum of a_i x^i and
+    B = sum of b_i x^i, already reduced (see :func:`orbit_polynomial`).  B is
+    monic of degree |G| and Ahat has smaller degree, so with f = B and
+    g = -Ahat every f - lambda*g is the family member sum of
+    (a_i*lambda + b_i) T^i.
     """
     if len(G) < 2:
         raise TrivialGroupError("the trivial group fixes everything")
-    P = orbit_polynomial(G)
-    t = P.parameter
-    f, g = t.monic_pair()
-    phi = RatFunc(f, g)
+    phi = orbit_polynomial(G).parameter
     if phi.degree != len(G):
         raise InvariantViolation("generator degree does not match the group order")
     return phi

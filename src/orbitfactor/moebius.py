@@ -239,7 +239,7 @@ class Moebius:
             return MoebiusClass.UNIPOTENT
         return MoebiusClass.SPLIT if gf.is_square(disc) else MoebiusClass.NONSPLIT
 
-    def fixed_points(self, k: int = 1, cap: Optional[int] = None) -> tuple[ProjPoint, ...]:
+    def fixed_points(self, k: int = 1) -> tuple[ProjPoint, ...]:
         """All fixed points on P^1(F_{q^k}), sorted; at most two.
 
         z = (az+b)/(cz+d) in closed form: for c = 0 the points are infinity
@@ -249,7 +249,7 @@ class Moebius:
         """
         if self.is_identity():
             raise IdentityInputError("every point is fixed by the identity")
-        ext = gf.extension_of(self.ctx, k, cap=cap)
+        ext = gf.extension_of(self.ctx, k)
         lifted = self.lift_to(ext)
         a, b, c, d = lifted.entries()
         if not c:

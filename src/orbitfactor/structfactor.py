@@ -10,11 +10,15 @@ orbit polynomial over F_q(x).  The factors are found by sweeping lambda over
 F_q, using only F_q arithmetic, and the result is cross-checked against
 exact reconstruction of the input.
 
-For s of order exactly q+1, every specialization f - lambda*g of the
-invariant generator f/g of <s> is itself, up to a unit, the companion
-polynomial of one element s + nu of <s> (the matrix of s plus nu times the
-identity), so :func:`lambda_family_report` reads each factor degree off
-that element's order.
+The family is also the invariant: the generator of the invariant field of
+G is f/g = -B/Ahat, read off the family (see
+:func:`invariants.invariant_generator`), so every f - lambda*g is the family
+member F_lambda = sum of (a_i*lambda + b_i) T^i, and :func:`family_member`
+is the one place it is built.  For s of order exactly q+1, every F_lambda
+is, up to a unit, the companion polynomial of one element s + nu of <s>
+(the matrix of s plus nu times the identity), so
+:func:`lambda_family_report` reads each factor degree off that element's
+order.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import (
     IdentityInputError,
     InvariantViolation,
     SizeCapError,
+    TrivialGroupError,
     WrongOrderError,
 )
 
@@ -69,6 +74,13 @@ def frobenius_element(G: go.Subgroup, h: upoly.Poly) -> mo.Moebius:
         if tx.scale(g.c) + x.scale(g.d) == t.scale(g.a) + g.b:
             return g
     raise InvariantViolation("no group element moves a root of h to its q-th power")
+
+
+def family_member(ctx: gf.FieldCtx, family: tuple, lam: gf.FieldElem) -> upoly.Poly:
+    """F_lambda = sum of (a_i*lambda + b_i) T^i for the pairs (a_i, b_i) of
+    an orbit-polynomial family: monic, and f - lambda*g for the invariant
+    generator f/g of the group."""
+    return upoly.Poly(ctx, [a * lam + b for a, b in family])
 
 
 @dataclass(frozen=True)
@@ -149,7 +161,7 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     for lam in ctx.elements():
         if work.deg == 0:
             break
-        candidate = upoly.Poly(ctx, [a * lam + b for a, b in family])
+        candidate = family_member(ctx, family, lam)
         quotient, rem = divmod(work, candidate)
         if not rem:
             work = quotient
@@ -199,13 +211,13 @@ class LambdaFamilyReport:
 
 
 def lambda_family_report(s: mo.Moebius) -> LambdaFamilyReport:
-    """For s of order exactly q+1: the factor degree of f - lambda*g for
-    every lambda in F_q.
+    """For s of order exactly q+1: the factor degree of f - lambda*g, the
+    family member F_lambda of G = <s>, for every lambda in F_q.
 
     Every orbit-polynomial coefficient has numerator mu*(companion of s) +
     nu*(x^q - x), and adding nu*(T^q - T) to the companion of s, with matrix
     M = (a, b; c, d), gives the companion of M + nu*I.  So each
-    h = f - lambda*g is, up to the unit c, the companion of the element
+    h = F_lambda is, up to the unit c, the companion of the element
     w = (a+nu, b, c, d+nu) of G = <s> with nu = c*h[T^q] - d; that identity,
     w in G, w not the identity and a different w for each lambda are checked
     on every lambda.  No root of h
@@ -219,12 +231,12 @@ def lambda_family_report(s: mo.Moebius) -> LambdaFamilyReport:
     G = go.Subgroup(ctx, s.powers())
     if len(G) != q + 1:
         raise WrongOrderError(f"order must be exactly q+1 = {q + 1}")
-    f, g = inv.invariant_generator(G).monic_pair()
+    family, _ = inv.orbit_family(G)
     a, b, c, d = s.entries()
     seen = set()
     counts: dict[int, int] = {}
     for lam in ctx.elements():
-        h = f - g.scale(lam)
+        h = family_member(ctx, family, lam)
         nu = c * h.coeffs[q] - d
         w = mo.Moebius(a + nu, b, c, d + nu)
         if w.is_identity() or w not in G or w in seen:
@@ -249,7 +261,8 @@ def lambda_family_report(s: mo.Moebius) -> LambdaFamilyReport:
 
 @dataclass(frozen=True)
 class SpecializationFactors:
-    """Factorization of f - lambda*g for the canonical generator f/g of G."""
+    """Factorization of f - lambda*g, the family member F_lambda, for the
+    canonical generator f/g of G."""
 
     input: upoly.Poly
     lam: gf.FieldElem
@@ -273,9 +286,9 @@ def factor_f_lambda(G: go.Subgroup, lam: gf.FieldElem,
     stabilizer order.
     """
     ctx = G.ctx
-    phi = inv.invariant_generator(G)
-    f, g = phi.monic_pair()
-    target = f - g.scale(lam)
+    if len(G) < 2:
+        raise TrivialGroupError("the trivial group fixes everything")
+    target = family_member(ctx, inv.orbit_polynomial(G).family, lam)
     fac = upoly.factorize(target, seed)
     degrees = {poly.deg for poly, _ in fac.factors}
     mults = {mult for _, mult in fac.factors}
@@ -299,14 +312,13 @@ def all_cubics_product(ctx: gf.FieldCtx) -> upoly.Poly:
     monic irreducible cubic; returns that product."""
     G = go.full_pgl(ctx)
     phi = inv.invariant_generator(G)
-    f, g = phi.monic_pair()
     ext3 = gf.extension_of(ctx, 3, cap=max(gf.size_cap(), ctx.order ** 3))
     alpha = ext3.gen()
     value = phi.eval_point(mo.ProjPoint(alpha))
     if value.value is None:
         raise InvariantViolation("phi has a pole at a degree-3 element")
-    lam = gf.down_cast(value.value, ctx)
-    target = f - g.scale(lam)
+    target = family_member(ctx, inv.orbit_polynomial(G).family,
+                           gf.down_cast(value.value, ctx))
     product = upoly.Poly.one(ctx)
     count = 0
     for cubic in upoly.monic_irreducibles(ctx, 3):
@@ -343,20 +355,14 @@ def factor_general_k(s: mo.Moebius, k: int) -> GeneralKFactorization:
 
     The polynomial is first factored structurally over F_{q^k}; multiplying
     each factor by its full orbit under the q-power Frobenius yields the
-    irreducible factors over F_q.
+    irreducible factors over F_q, each checked irreducible.  For k = 1 every
+    orbit is a single factor.
     """
     ctx = s.ctx
     q = ctx.order
     if q ** k > gf.size_cap():
         raise SizeCapError(f"{q}^{k} exceeds the size cap")
     input_poly = companion_poly(ctx, s.entries(), k)
-    if k == 1:
-        structured = factor_by_orbit(s)
-        factors = list(structured.removed_linear) + [e.poly for e in structured.factors]
-        factors.sort(key=lambda f: f.key())
-        return GeneralKFactorization(input_poly, 1, ctx, structured,
-                                     tuple(factors), structured.unit)
-
     ground = gf.extension_of(ctx, k)
     inner = factor_by_orbit(s.lift_to(ground))
 

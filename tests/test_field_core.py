@@ -239,13 +239,17 @@ def test_field_create_reads_the_cap_before_its_cache(monkeypatch):
     assert gf.field_create(3, 2) is F9
 
 
+def test_field_create_is_the_extension_of_its_prime_field():
+    # one context per field, whichever constructor asks for it
+    for p, m in [(2, 2), (3, 2), (2, 3), (5, 1)]:
+        assert gf.field_create(p, m) is gf.extension_of(gf.prime_field(p), m)
+
+
 @pytest.mark.parametrize("make, cache, key_of", [
     (gf.prime_field, "_prime_cache", lambda p: p),
-    (lambda p: gf.field_create(p, 1), "_create_cache", lambda p: (p, 1)),
 ])
 def test_field_caches_are_bounded(monkeypatch, make, cache, key_of):
     monkeypatch.setattr(gf, "_prime_cache", {})
-    monkeypatch.setattr(gf, "_create_cache", {})
     primes = [p for p in range(257, 2000) if gf.is_prime(p)][:65]  # above the table limit
     fields = [make(p) for p in primes]
     held = getattr(gf, cache)
@@ -260,7 +264,7 @@ def test_field_caches_are_bounded(monkeypatch, make, cache, key_of):
 def test_field_create_256_builds_its_tables_quickly():
     import time
 
-    gf._create_cache.pop((2, 8), None)
+    gf._extend_cache.pop(gf.least_irreducible(gf.prime_field(2), 8), None)
     start = time.perf_counter()
     tables = gf.field_create(2, 8).tables()
     elapsed = time.perf_counter() - start

@@ -268,6 +268,46 @@ def test_lambda_report_checks_the_companion_identity(monkeypatch, F7):
         sf.lambda_family_report(s)
 
 
+# The generator before it was read off the family, kept as a reference: the
+# orbit polynomial's parameter with its numerator made monic, reduced again
+# by a gcd.
+
+
+def _generator_by_reduction(G):
+    return inv.RatFunc(*inv.orbit_polynomial(G).parameter.monic_pair())
+
+
+# every cyclic subgroup of PGL(2,q), and the whole group, for q <= 13
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1)])
+def test_family_member_is_f_minus_lambda_g(p, m):
+    ctx = gf.field_create(p, m)
+    full = go.full_pgl(ctx)
+    groups = {go.Subgroup(ctx, s.powers()) for s in full if not s.is_identity()}
+    groups.add(full)
+    for G in groups:
+        phi = _generator_by_reduction(G)
+        assert inv.invariant_generator(G) == phi
+        f, g = phi.monic_pair()
+        family = inv.orbit_polynomial(G).family
+        for lam in ctx.elements():
+            assert sf.family_member(ctx, family, lam) == f - g.scale(lam)
+
+
+def test_generator_and_lambda_report_need_no_gcd(monkeypatch, F7):
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the generator is read off the family, not reduced")
+
+    monkeypatch.setattr(upoly, "gcd", forbidden)
+    inv.orbit_polynomial.cache_clear()
+    phi = inv.invariant_generator(go.generate(F7, [s]))
+    assert phi.degree == 8 and phi.den.monic() == upoly.Poly.x_pow(F7, 7) - upoly.Poly.x(F7)
+    report = sf.lambda_family_report(s)
+    assert report.counts == {2: (1, 1), 4: (2, 2), 8: (4, 4)}
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_factor_f_lambda_witness_matches_root_scan(p, m):
     ctx = gf.field_create(p, m)
@@ -330,6 +370,13 @@ def test_factor_general_k_is_factor_by_orbit_at_one(F7):
         [e.poly for e in res.inner.factors] + list(res.inner.removed_linear),
         key=lambda f: f.key()))
     assert res.reconstruct() == res.input
+
+
+def test_factor_general_k_checks_every_factor_at_one(monkeypatch, F7):
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+    monkeypatch.setattr(upoly, "is_irreducible", lambda f: False)
+    with pytest.raises(InvariantViolation, match="reducible"):
+        sf.factor_general_k(s, 1)
 
 
 def _oracle_factors(poly):
