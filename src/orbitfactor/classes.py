@@ -3,8 +3,9 @@ the twisted-conjugacy (Lang equation) solver.
 
 Classes are keyed by tr^2/det of a matrix pre-image, which scaling and
 conjugation leave unchanged, plus a flag for the identity and, at trace zero
-for odd q, for the square class of -det; one pass over the group builds the
-classes and `class_of` is a key lookup.
+for odd q, for the square class of -det.  A scan of the group in key order
+meets every class within its first O(q^2) elements, so the classes are read
+off it without building PGL(2,q), and `class_of` is a key lookup.
 
 An invariant value lambda of PGL(2,q) picks out the class of the element
 sending a root alpha of f - lambda*g to alpha^q: the generator 2 - pgl_generator
@@ -83,48 +84,68 @@ def _kind_of(s: mo.Moebius, q_odd: bool) -> tuple[ClassKind, int]:
     return ClassKind.NONSPLIT, order
 
 
-def _class_key(s: mo.Moebius) -> tuple[int, bool]:
-    """Conjugacy invariant of s: tr^2/det of a matrix pre-image (encoded) and
-    a refinement flag.
+def _class_key(ctx: gf.FieldCtx, key: tuple[int, int, int, int]) -> tuple[int, bool]:
+    """Conjugacy invariant of the element whose `Moebius.key()` is key:
+    :func:`moebius.kappa`, tr^2/det of a matrix pre-image (encoded), and a
+    refinement flag.
 
     tr^2/det fixes the class of every non-identity element except at trace
     zero for odd q, where the flag holds whether -det is a square (split or
     nonsplit involution).  For the identity the flag is True, which tells it
     from the unipotent class sharing its value (4, or 0 for even q).
     """
-    ctx = s.ctx
-    a, b, c, d = s.entries()
-    tr = a + d
-    det = a * d - b * c
-    if s.is_identity():
+    kappa = mo.kappa(ctx, *key)
+    if key == mo.IDENTITY_KEY:
         flag = True
-    elif not tr and ctx.p != 2:
-        flag = gf.is_square(-det)
+    elif not kappa and ctx.p != 2:
+        a, b, c, d = key
+        flag = gf.is_square(ctx.decode(ctx.sub(ctx.mul(b, c), ctx.mul(a, d))))
     else:
         flag = False
-    return (tr * tr / det).encode(), flag
+    return kappa, flag
+
+
+def _class_size(kind: ClassKind, q: int) -> int:
+    """|G|/|C(s)| for the centralizer of an element of the kind: a split or
+    nonsplit torus, its normalizer for the involutions, and the unipotent
+    radical (order q) for the unipotent class."""
+    return {
+        ClassKind.IDENTITY: 1,
+        ClassKind.UNIPOTENT: q * q - 1,
+        ClassKind.SPLIT: q * (q + 1),
+        ClassKind.NONSPLIT: q * (q - 1),
+        ClassKind.SPLIT_INVOLUTION: q * (q + 1) // 2,
+        ClassKind.NONSPLIT_INVOLUTION: q * (q - 1) // 2,
+    }[kind]
 
 
 @functools.lru_cache(maxsize=64)
 def _classes_by_key(ctx: gf.FieldCtx) -> tuple[tuple[ClassLabel, ...], dict]:
-    """The sorted class labels and the map from class key to label (cached)."""
-    G = go.full_pgl(ctx)
+    """The sorted class labels and the map from class key to label (cached).
+
+    Walks :func:`grouporbit.pgl_keys` and stops once every class key has
+    been seen; the keys arrive in `Moebius.key()` order, so the first
+    element with a key is its class's least, and only those become Moebius
+    maps.  Sizes follow from the kinds.
+    """
     q = ctx.order
     q_odd = ctx.p != 2
-    reps: dict = {}
-    sizes: dict = {}
-    for s in G.elements:  # sorted by key(), so each class's first is its least
-        k = _class_key(s)
-        reps.setdefault(k, s)
-        sizes[k] = sizes.get(k, 0) + 1
-    by_key = {}
-    for k, s in reps.items():
-        kind, order = _kind_of(s, q_odd)
-        by_key[k] = ClassLabel(kind, order, s, sizes[k], len(G) // sizes[k])
-    labels = sorted(by_key.values(), key=lambda c: (c.size, c.representative.key()))
-    if sum(c.size for c in labels) != q ** 3 - q:
-        raise InvariantViolation("class sizes do not sum to the group order")
     expected = q + 2 if q_odd else q + 1
+    group_order = q ** 3 - q
+    by_key: dict = {}
+    for key in go.pgl_keys(ctx):
+        k = _class_key(ctx, key)
+        if k in by_key:
+            continue
+        rep = mo.Moebius(*map(ctx.decode, key))
+        kind, order = _kind_of(rep, q_odd)
+        size = _class_size(kind, q)
+        by_key[k] = ClassLabel(kind, order, rep, size, group_order // size)
+        if len(by_key) == expected:
+            break
+    labels = sorted(by_key.values(), key=lambda c: (c.size, c.representative.key()))
+    if sum(c.size for c in labels) != group_order:
+        raise InvariantViolation("class sizes do not sum to the group order")
     if len(labels) != expected:
         raise InvariantViolation(f"expected {expected} classes, found {len(labels)}")
     return tuple(labels), by_key
@@ -133,10 +154,13 @@ def _classes_by_key(ctx: gf.FieldCtx) -> tuple[tuple[ClassLabel, ...], dict]:
 def conjugacy_classes(ctx: gf.FieldCtx) -> tuple[ClassLabel, ...]:
     """All conjugacy classes, sorted by (size, representative key).
 
-    One pass over PGL(2,q) groups the elements by their class key; each
-    class's representative is its least element by `Moebius.key()`.  There
-    are q+1 classes for even q and q+2 for odd q; for odd q the involutions
-    split into two classes told apart by where their fixed points live.
+    A scan of PGL(2,q) in `Moebius.key()` order reads each element's class
+    key and stops once all are seen, after O(q^2) elements; each class's
+    representative is its least element, and its size comes from its kind.
+    There are q+1 classes for even q and q+2 for odd q; for odd q the
+    involutions split into two classes told apart by where their fixed
+    points live.  Raises SizeCapError where :func:`grouporbit.full_pgl`
+    does.
     """
     return _classes_by_key(ctx)[0]
 
@@ -145,7 +169,7 @@ def class_of(ctx: gf.FieldCtx, s: mo.Moebius) -> ClassLabel:
     """The conjugacy class of s, by its class key."""
     if s.ctx != ctx:
         raise CtxMismatchError(f"{s} is not over {ctx}")
-    return _classes_by_key(ctx)[1][_class_key(s)]
+    return _classes_by_key(ctx)[1][_class_key(ctx, s.key())]
 
 
 def quadratic_orbit_value(ctx: gf.FieldCtx) -> gf.FieldElem:

@@ -113,26 +113,34 @@ def generate(ctx: gf.FieldCtx, gens: Iterable[mo.Moebius]) -> Subgroup:
     return Subgroup(ctx, seen)
 
 
-def full_pgl(ctx: gf.FieldCtx) -> Subgroup:
-    """All of PGL(2,q); order q^3 - q."""
+def pgl_keys(ctx: gf.FieldCtx) -> Iterator[tuple[int, int, int, int]]:
+    """`Moebius.key()` of every element of PGL(2,q), in increasing order.
+
+    A key is the normalized entries (a, b, c, d) as encodings: first
+    (0, 1, c, d) with c != 0, then (1, b, c, d) with d != bc.  No Moebius
+    is built.  Raises SizeCapError, on the first step, when q^3 - q exceeds
+    MAX_GROUP_ORDER.
+    """
     q = ctx.order
     if q ** 3 - q > MAX_GROUP_ORDER:
         raise SizeCapError(f"PGL(2,{q}) has order {q**3 - q}, beyond the enumeration cap")
-    one = ctx.one()
-    zero = ctx.zero()
-    out = []
-    # normalized: a = 1, or (a = 0, b = 1)
-    for b in ctx.elements():
-        for c in ctx.elements():
-            for d in ctx.elements():
-                if d - b * c:
-                    out.append(mo.Moebius(one, b, c, d))
-    for c in ctx.elements():
-        if not c:
-            continue
-        for d in ctx.elements():
-            out.append(mo.Moebius(zero, one, c, d))
-    group = Subgroup(ctx, out)
+    mul = ctx.mul
+    for c in range(1, q):
+        for d in range(q):
+            yield (0, 1, c, d)
+    for b in range(q):
+        for c in range(q):
+            bc = mul(b, c)
+            for d in range(q):
+                if d != bc:
+                    yield (1, b, c, d)
+
+
+def full_pgl(ctx: gf.FieldCtx) -> Subgroup:
+    """All of PGL(2,q), order q^3 - q, built from :func:`pgl_keys`."""
+    decode = ctx.decode
+    group = Subgroup(ctx, (mo.Moebius(*map(decode, k)) for k in pgl_keys(ctx)))
+    q = ctx.order
     if len(group) != q ** 3 - q:
         raise InvariantViolation("PGL enumeration produced the wrong order")
     return group
@@ -280,21 +288,31 @@ def conjugates(G: Subgroup, s: mo.Moebius) -> tuple[mo.Moebius, ...]:
     return tuple(sorted(out, key=lambda t: t.key()))
 
 
-def elements_of_order(G: Subgroup, r: int) -> list[mo.Moebius]:
-    return [s for s in G if s.order() == r]
-
-
 def a5_subgroup(ctx: gf.FieldCtx) -> Subgroup:
     """A subgroup of order 60 with the icosahedral presentation.
 
     Searches for a of order 5 and b of order 2 with a*b of order 3 whose
     closure has order 60.  Deterministic: first hit in canonical order wins.
+    The candidates come from one pass over :func:`pgl_keys`; a non-identity
+    element's order is fixed by its :func:`moebius.kappa`, so it is computed
+    once per kappa, and only elements of order 5 and 2 become Moebius maps.
     """
-    G = full_pgl(ctx)
-    fives = elements_of_order(G, 5)
+    decode = ctx.decode
+    order_of_kappa: dict = {}
+    fives, involutions = [], []
+    for k in pgl_keys(ctx):
+        if k == mo.IDENTITY_KEY:
+            continue
+        kappa = mo.kappa(ctx, *k)
+        r = order_of_kappa.get(kappa)
+        if r is None:
+            r = order_of_kappa[kappa] = mo.Moebius(*map(decode, k)).order()
+        if r == 5:
+            fives.append(mo.Moebius(*map(decode, k)))
+        elif r == 2:
+            involutions.append(mo.Moebius(*map(decode, k)))
     if not fives:
         raise InvariantViolation(f"PGL(2,{ctx.order}) has no elements of order 5")
-    involutions = elements_of_order(G, 2)
     for a in fives:
         for b in involutions:
             if a.compose(b).order() != 3:

@@ -75,6 +75,22 @@ class MoebiusClass(Enum):
     NONSPLIT = "nonsplit"    # irreducible characteristic polynomial; order divides q+1
 
 
+# Moebius.key() of the identity in every field: encodings 1 and 0 are one and zero
+IDENTITY_KEY = (1, 0, 0, 1)
+
+
+def kappa(ctx: gf.FieldCtx, a: int, b: int, c: int, d: int) -> int:
+    """tr^2/det, encoded, of the matrix with encoded entries a, b, c, d.
+
+    Scaling and conjugation leave it unchanged, so it is constant on each
+    conjugacy class of PGL(2,q); it is rho + 2 + 1/rho for the eigenvalue
+    ratio rho, which fixes the order of every non-identity element.
+    """
+    mul = ctx.mul
+    tr = ctx.add(a, d)
+    return mul(mul(tr, tr), ctx.inv(ctx.sub(mul(a, d), mul(b, c))))
+
+
 class Moebius:
     """x -> (ax+b)/(cx+d) with ad - bc != 0, in normalized form."""
 

@@ -474,7 +474,11 @@ def least_degree_factor(f: Poly, seed: int = 0) -> Poly:
 
 
 def roots_in(f: Poly, ext: gf.FieldCtx) -> tuple[gf.FieldElem, ...]:
-    """All roots of f in ext (each reported once), sorted canonically."""
+    """All roots of f in ext (each reported once), sorted canonically.
+
+    gcd(f, T^Q - T) is squarefree with only linear factors, so equal-degree
+    splitting alone, seeded as :func:`factorize` seeds it, takes it apart.
+    """
     if not gf.is_subctx(f.ctx, ext):
         raise CtxMismatchError(f"{ext} does not extend {f.ctx}")
     fe = f.map_ctx(ext) if ext != f.ctx else f
@@ -482,12 +486,15 @@ def roots_in(f: Poly, ext: gf.FieldCtx) -> tuple[gf.FieldElem, ...]:
         return ()
     x = Poly.x(ext)
     linear_part = gcd(fe, powmod(x, ext.order, fe) - x)
-    roots = []
-    if linear_part.deg >= 1:
-        for factor, _ in factorize(linear_part).factors:
-            roots.append(-factor.coeffs[0])
-    roots.sort(key=lambda r: r.encode())
-    return tuple(roots)
+    if linear_part.deg < 1:
+        return ()
+    linears = _equal_degree(linear_part, 1, random.Random(_seed_key(linear_part, 0)))
+    product = Poly.one(ext)
+    for factor in linears:
+        product = product * factor
+    if product != linear_part:
+        raise InvariantViolation("linear factors do not reproduce gcd(f, T^Q - T)")
+    return tuple(sorted((-factor.coeffs[0] for factor in linears), key=lambda r: r.encode()))
 
 
 def monic_irreducibles(ctx: gf.FieldCtx, d: int) -> Iterator[Poly]:

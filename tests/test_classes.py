@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from orbitfactor import classes as cl
 from orbitfactor import gf, grouporbit as go, invariants as inv, moebius as mo
 from orbitfactor import structfactor as sf, upoly
-from orbitfactor.errors import CtxMismatchError
+from orbitfactor.errors import CtxMismatchError, SizeCapError
 
 
 @pytest.mark.parametrize("p,m,count", [(2, 1, 3), (3, 1, 5), (2, 2, 5), (5, 1, 7)])
@@ -79,6 +79,78 @@ def _brute_force_classes(ctx):
 def test_classes_match_brute_force_partition(p, m):
     ctx = gf.field_create(p, m)
     assert cl.conjugacy_classes(ctx) == _brute_force_classes(ctx)
+
+
+def _key_by_field_arithmetic(s):
+    """The class key computed on field elements, apart from moebius.kappa."""
+    a, b, c, d = s.entries()
+    tr, det = a + d, a * d - b * c
+    if s.is_identity():
+        flag = True
+    elif not tr and s.ctx.p != 2:
+        flag = gf.is_square(-det)
+    else:
+        flag = False
+    return (tr * tr / det).encode(), flag
+
+
+def _classes_by_full_partition(ctx):
+    """The former class partition: every element of PGL(2,q) grouped by its
+    class key, sizes counted, each class represented by its least element."""
+    G = go.full_pgl(ctx)
+    reps, sizes = {}, {}
+    for s in G.elements:
+        k = _key_by_field_arithmetic(s)
+        reps.setdefault(k, s)
+        sizes[k] = sizes.get(k, 0) + 1
+    by_key = {}
+    for k, s in reps.items():
+        kind, order = cl._kind_of(s, ctx.p != 2)
+        by_key[k] = cl.ClassLabel(kind, order, s, sizes[k], len(G) // sizes[k])
+    labels = sorted(by_key.values(), key=lambda c: (c.size, c.representative.key()))
+    return tuple(labels), by_key
+
+
+_PRIME_POWERS_TO_27 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                       (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("p,m", _PRIME_POWERS_TO_27)
+def test_key_ordered_scan_matches_full_partition(p, m):
+    ctx = gf.field_create(p, m)
+    assert cl._classes_by_key(ctx) == _classes_by_full_partition(ctx)
+
+
+def test_classes_never_build_the_group(monkeypatch):
+    def boom(ctx):
+        raise AssertionError("full_pgl called")
+
+    monkeypatch.setattr(go, "full_pgl", boom)
+    cl._classes_by_key.cache_clear()
+    for p, m in [(3, 1), (2, 4), (13, 1)]:
+        ctx = gf.field_create(p, m)
+        labels = cl.conjugacy_classes(ctx)
+        assert len(labels) == ctx.order + (2 if p != 2 else 1)
+        s = mo.Moebius.from_ints(ctx, 1, 1, 0, 1)
+        assert cl.class_of(ctx, s).kind is cl.ClassKind.UNIPOTENT
+        assert cl.class_of_lambda(ctx, mo.INFINITY).kind is cl.ClassKind.IDENTITY
+    assert len(go.a5_subgroup(gf.prime_field(11))) == 60
+
+
+def test_beyond_the_group_order_cap_every_entry_raises_as_before():
+    # PGL(2,41) has 68880 > MAX_GROUP_ORDER elements
+    ctx = gf.prime_field(41)
+    message = "PGL(2,41) has order 68880, beyond the enumeration cap"
+    calls = [lambda: cl.conjugacy_classes(ctx),
+             lambda: cl.class_of(ctx, mo.Moebius.from_ints(ctx, 1, 1, 0, 1)),
+             lambda: cl.class_of_lambda(ctx, mo.ProjPoint(ctx.elem(3))),
+             lambda: go.a5_subgroup(ctx)]
+    start = time.perf_counter()
+    for call in calls:
+        with pytest.raises(SizeCapError) as err:
+            call()
+        assert str(err.value) == message
+    assert time.perf_counter() - start < 1.0
 
 
 def test_class_of_rejects_other_field(F3, F5):

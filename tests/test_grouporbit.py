@@ -112,6 +112,36 @@ def test_census_icosahedral_in_pgl11():
     assert audit.passed and audit.tame_sum == 118 == audit.target
 
 
+def _a5_by_full_scan(ctx):
+    """The former search: elements of order 5 and 2 picked from the whole
+    group by Moebius.order, then the first icosahedral pair in key order."""
+    G = go.full_pgl(ctx)
+    fives = [s for s in G if s.order() == 5]
+    involutions = [s for s in G if s.order() == 2]
+    for a in fives:
+        for b in involutions:
+            if a.compose(b).order() == 3:
+                H = go.generate(ctx, [a, b])
+                if len(H) == 60:
+                    return H
+    raise AssertionError("no icosahedral subgroup")
+
+
+@pytest.mark.parametrize("p,m", [(11, 1), (2, 4), (19, 1), (29, 1)])
+def test_a5_subgroup_matches_full_scan(p, m):
+    ctx = gf.field_create(p, m)
+    assert go.a5_subgroup(ctx) == _a5_by_full_scan(ctx)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (11, 1)])
+def test_pgl_keys_are_the_sorted_group(p, m):
+    ctx = gf.field_create(p, m)
+    keys = list(go.pgl_keys(ctx))
+    assert keys == sorted(set(keys))
+    assert keys == [s.key() for s in go.full_pgl(ctx)]
+    assert len(keys) == ctx.order ** 3 - ctx.order
+
+
 def test_audit_trivial_group(F7):
     G = go.generate(F7, [])
     audit = go.riemann_hurwitz_audit(G)

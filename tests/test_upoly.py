@@ -144,6 +144,40 @@ def test_roots_in(F3, F9):
     assert upoly.roots_in(lin, F3) == (F3.elem(2),)
 
 
+def _roots_by_factorize(f, ext):
+    """The former roots_in: every linear factor of gcd(f, T^Q - T) from a
+    full factorization."""
+    fe = f.map_ctx(ext) if ext != f.ctx else f
+    x = upoly.Poly.x(ext)
+    linear_part = upoly.gcd(fe, upoly.powmod(x, ext.order, fe) - x)
+    if linear_part.deg < 1:
+        return ()
+    roots = [-g.coeffs[0] for g, _ in upoly.factorize(linear_part).factors]
+    return tuple(sorted(roots, key=lambda r: r.encode()))
+
+
+def test_roots_in_needs_only_equal_degree_splitting(monkeypatch, F3, F4, F5, F7):
+    # repeated roots, an inseparable p-th power and roots outside the ground field
+    cases = [
+        (P(F3, 0, -1, 0, 1).pow(2) * P(F3, 1, 0, 1), gf.extension_of(F3, 2)),
+        (P(F5, -1, 1).pow(5) * P(F5, 2, 0, 1) * P(F5, 0, 1), F5),
+        (P(F5, -1, 1).pow(5) * P(F5, 2, 0, 1) * P(F5, 0, 1), gf.extension_of(F5, 2)),
+        (P(F7, *([0, -1] + [0] * 6 + [1])), F7),
+        (upoly.Poly(F4, (F4.gen(), F4.one(), F4.one())).pow(2) * P(F4, 1, 1),
+         gf.extension_of(F4, 2)),
+        (gf.least_irreducible(F7, 3), gf.extension_of(F7, 3)),
+    ]
+    expected = [_roots_by_factorize(f, ext) for f, ext in cases]
+    assert all(expected)
+
+    def boom(*args):
+        raise AssertionError("roots_in must not redo squarefree or distinct-degree work")
+
+    monkeypatch.setattr(upoly, "_distinct_degree", boom)
+    monkeypatch.setattr(upoly, "_squarefree_decomposition", boom)
+    assert [upoly.roots_in(f, ext) for f, ext in cases] == expected
+
+
 def test_monic_irreducible_count(F5):
     # (q^3 - q)/3 cubics
     assert sum(1 for _ in upoly.monic_irreducibles(F5, 3)) == 40
