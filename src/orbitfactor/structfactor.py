@@ -276,8 +276,7 @@ class SpecializationFactors:
         return sum(m for _, m in self.factors)
 
 
-def factor_f_lambda(G: go.Subgroup, lam: gf.FieldElem,
-                    seed: int = 0) -> SpecializationFactors:
+def factor_f_lambda(G: go.Subgroup, lam: gf.FieldElem) -> SpecializationFactors:
     """Factor f(T) - lambda*g(T) and witness the common factor degree.
 
     When G acts regularly on the roots all irreducible factors share one
@@ -289,7 +288,7 @@ def factor_f_lambda(G: go.Subgroup, lam: gf.FieldElem,
     if len(G) < 2:
         raise TrivialGroupError("the trivial group fixes everything")
     target = family_member(ctx, inv.orbit_polynomial(G).family, lam)
-    fac = upoly.factorize(target, seed)
+    fac = upoly.factorize(target)
     degrees = {poly.deg for poly, _ in fac.factors}
     mults = {mult for _, mult in fac.factors}
     if len(degrees) != 1 or len(mults) != 1:

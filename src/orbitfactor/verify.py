@@ -9,6 +9,7 @@ one line per check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -64,12 +65,11 @@ def _ex_q19_factors() -> str:
     res = sf.factor_by_orbit(s)
     factors = res.monic_factors()
     _expect(len(factors) == 5 and res.degree_r == 4, "expected five quartics")
-    sample = upoly.Poly.from_ints(ctx, [1, 13, -6, 6, 1])
-    _expect(sample in factors, "listed quartic missing")
-    lams = sorted(e.lam.value.rep for e in res.factors)
-    _expect(lams == sorted((-v) % 19 for v in (6, 9, 12, 14, 15)), "family values differ")
+    listed = {upoly.Poly.from_ints(ctx, [1, a, -6, -a, 1]) for a in (-6, -9, -12, -14, -15)}
+    _expect(set(factors) == listed, "quartic list differs")
     for e in res.factors:
         lam = e.lam.value
+        _expect(lam is not None, "every quartic has a finite family value")
         expected = upoly.Poly(ctx, (ctx.one(), lam, ctx.elem(-6), -lam, ctx.one()))
         _expect(e.poly == expected, "factor leaves the one-parameter family")
     return "T^4-aT^3-6T^2+aT+1 for a in {-6,-9,-12,-14,-15}"
@@ -90,19 +90,22 @@ def _ex_q17() -> str:
     # rewrite stored family (affine in parameter t0) in terms of t = coeffs[1]
     a1, b1 = pairs[1]
     _expect(bool(a1), "parameter coefficient must be nonconstant")
-    for i, (want_a, want_b) in ((2, (8, -1)), (1, (1, 0)), (0, (7, 4))):
+    for i, (want_a, want_b) in ((3, (0, 1)), (2, (8, -1)), (1, (1, 0)), (0, (7, 4))):
         a_i, b_i = pairs[i]
         got_a = a_i / a1
         got_b = b_i - a_i / a1 * b1
         _expect(got_a == ctx.elem(want_a) and got_b == ctx.elem(want_b),
                 f"family pair at T^{i} differs")
     companion = sf.companion_poly(ctx, raw)
+    _expect(companion == upoly.Poly.from_ints(ctx, [-13, -14] + [0] * 15 + [2, 6]),
+            "companion is 6T^18 + 2T^17 - 14T - 13")
     fac = upoly.factorize(companion)
     _expect(fac.unit == ctx.elem(6), "unit should be 6")
     listed = [[7, 15, 0, 1], [16, 9, 3, 1], [2, 7, 4, 1],
               [8, 3, 6, 1], [9, 8, 12, 1], [1, 2, 15, 1]]
     want = {upoly.Poly.from_ints(ctx, c) for c in listed}
     _expect({p for p, _ in fac.factors} == want, "cubic list differs")
+    _expect(all(mult == 1 for _, mult in fac.factors), "the cubics are simple")
     mine = sf.factor_by_orbit(s)
     _expect(set(mine.monic_factors()) == want, "structured factors differ")
     return "unit 6, six cubics incl. T^3+15T+7"
@@ -150,14 +153,15 @@ def _ex_q3_full_group() -> str:
 def _ex_audits() -> str:
     F4 = gf.field_create(2, 2)
     A5 = go.full_pgl(F4)
-    census = go.nonregular_census(A5)
-    _expect([size for size, _ in census] == [5, 12], "census should be {5, 12}")
+    _expect(go.nonregular_census(A5) == [(5, 12), (12, 5)],
+            "census should be 5 points fixed by 12, 12 by 5")
     audit = go.riemann_hurwitz_audit(A5)
-    _expect(audit.passed and audit.sum_differents == 118, "wild audit is 118")
+    _expect(audit.passed and audit.sum_differents == 118 == 2 * len(A5) - 2,
+            "wild audit is 118 = 2*60 - 2")
     F11 = gf.prime_field(11)
     B = go.a5_subgroup(F11)
-    census_b = go.nonregular_census(B)
-    _expect([size for size, _ in census_b] == [12, 20, 30], "census should be {12,20,30}")
+    _expect(go.nonregular_census(B) == [(12, 5), (20, 3), (30, 2)],
+            "census should be 12, 20, 30 points with stabilizers 5, 3, 2")
     audit_b = go.riemann_hurwitz_audit(B)
     _expect(audit_b.passed and audit_b.tame_sum == 118, "tame audit is 118")
     return "12*4+5*14 = 118 = 12*4+20*2+30*1"
@@ -165,15 +169,26 @@ def _ex_audits() -> str:
 
 @_check("paper-examples", "class counts and the involution dichotomy", 3)
 def _ex_class_counts() -> str:
-    for p, m, expect_n in ((2, 1, 3), (3, 1, 5), (2, 2, 5)):
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
         ctx = gf.field_create(p, m)
+        q = ctx.order
         labels = cl.conjugacy_classes(ctx)
-        _expect(len(labels) == expect_n, f"wrong class count at q={ctx.order}")
-        if p != 2:
-            kinds = {c.kind for c in labels}
-            _expect(cl.ClassKind.SPLIT_INVOLUTION in kinds
-                    and cl.ClassKind.NONSPLIT_INVOLUTION in kinds,
-                    "odd q must have two involution classes")
+        invs = [c for c in labels if c.order == 2]
+        if p == 2:
+            _expect(len(labels) == q + 1 and len(invs) == 1,
+                    f"q={q}: q+1 classes, one of them involutions")
+            continue
+        _expect(len(labels) == q + 2, f"wrong class count at q={q}")
+        _expect(len(invs) == 2 and {c.kind for c in invs} == {
+            cl.ClassKind.SPLIT_INVOLUTION, cl.ClassKind.NONSPLIT_INVOLUTION},
+            "odd q must have two involution classes")
+        for c in invs:
+            fixed = (len(c.representative.fixed_points(1)),
+                     len(c.representative.fixed_points(2)))
+            if c.kind is cl.ClassKind.SPLIT_INVOLUTION:
+                _expect(fixed[0] == 2, "a split involution fixes two rational points")
+            else:
+                _expect(fixed == (0, 2), "a nonsplit involution fixes two points off F_q")
     return "q+1 classes for even q, q+2 for odd q"
 
 
@@ -182,20 +197,25 @@ def _ex_q4_correspondence() -> str:
     ctx = gf.field_create(2, 2)
     ident = cl.class_of_lambda(ctx, mo.INFINITY)
     _expect(ident.kind is cl.ClassKind.IDENTITY, "infinity labels the identity class")
+    _expect(len(cl.conjugacy_classes(ctx)) == 5, "PGL(2,4) has five classes")
     mu = cl.quadratic_orbit_value(ctx)
     G = go.full_pgl(ctx)
-    seen = set()
+    seen = {(ident.kind, ident.representative.key())}
     for v in ctx.elements():
         label = cl.class_of_lambda(ctx, mo.ProjPoint(v))
         _expect(isinstance(label, cl.ClassLabel), "even q never ambiguous")
+        actual = sf.factor_f_lambda(G, v)
         if v == mu:
             _expect(label.order == 2, "mu labels the involution class")
         else:
-            witness = sf.factor_f_lambda(G, v).witness
-            _expect(label == cl.class_of(ctx, witness),
+            _expect(label == cl.class_of(ctx, actual.witness),
                     "the class of the element moving a root to its q-th power")
+        pattern = cl.factor_pattern_of_class(ctx, v)
+        _expect((actual.degree, actual.multiplicity, len(actual.factors))
+                == (pattern.degree, pattern.multiplicity, pattern.count),
+                "the class predicts the factor pattern")
         seen.add((label.kind, label.representative.key()))
-    _expect(len(seen) == 4, "the four finite values hit four distinct classes")
+    _expect(len(seen) == 5, "infinity and the four finite values hit five distinct classes")
     return "bijection onto the 5 classes, infinity -> identity"
 
 
@@ -300,12 +320,12 @@ def _ex_involution_solutions() -> str:
 
 @_check("paper-examples", "degree-3 elements give all cubics at once", 3)
 def _ex_all_cubics() -> str:
-    counts = {}
-    for p in (2, 3):
+    for p, count in ((2, 2), (3, 8)):
         ctx = gf.prime_field(p)
-        product = sf.all_cubics_product(ctx)
-        counts[p] = product.deg // 3
-    _expect(counts == {2: 2, 3: 8}, "cubic counts differ")
+        cubics = list(upoly.monic_irreducibles(ctx, 3))
+        _expect(len(cubics) == count, "cubic counts differ")
+        _expect(sf.all_cubics_product(ctx) == math.prod(cubics, start=upoly.Poly.one(ctx)),
+                "not the product of every cubic")
     return "2 cubics over GF(2), 8 over GF(3)"
 
 
@@ -313,9 +333,17 @@ def _ex_all_cubics() -> str:
 def _ex_lang() -> str:
     for p in (2, 3):
         ctx = gf.prime_field(p)
+        q = ctx.order
         for s in go.full_pgl(ctx).elements:
             sol = cl.lang_solve(s)
-            _expect(sol.finite_count in (ctx.order, ctx.order + 1), "bad solution count")
+            _expect(sol.finite_count in (q, q + 1), "bad solution count")
+            sigma_t = mo.Moebius(*(e ** q for e in sol.t.entries()))
+            _expect(sigma_t.inverse().compose(sol.t) == s.lift_to(sol.ext),
+                    "s differs from sigma(t)^(-1) t")
+            t_inv = sol.t.inverse()
+            image = {t_inv.apply(mo.ProjPoint(gf.embed(v, sol.ext))) for v in ctx.elements()}
+            image.add(t_inv.apply(mo.INFINITY))
+            _expect(image == set(sol.solution_points), "X_s differs from t^(-1)(P^1(F_q))")
     return "all elements expressible as sigma(t)^(-1) t"
 
 
@@ -355,11 +383,15 @@ def _lm_nofixed() -> str:
         ctx = gf.prime_field(p)
         q = ctx.order
         G = go.full_pgl(ctx)
+        seen = set()
         for s in G.elements:
             r = s.order()
             if r <= 2 or (q + 1) % r:
                 continue
-            H = go.generate(ctx, [s])
+            H = go.Subgroup(ctx, s.powers())
+            if H in seen:
+                continue
+            seen.add(H)
             for h in H.elements:
                 if h.is_identity():
                     continue
@@ -380,7 +412,7 @@ def _lm_census_bounds() -> str:
         for s in G.elements:
             if s.is_identity():
                 continue
-            H = go.generate(ctx, [s])
+            H = go.Subgroup(ctx, s.powers())
             if H in seen:
                 continue
             seen.add(H)
@@ -398,7 +430,6 @@ def _lm_centralizer_estimate() -> str:
     for p in (3, 5, 7):
         ctx = gf.prime_field(p)
         q = ctx.order
-        G = go.full_pgl(ctx)
         for label in cl.conjugacy_classes(ctx):
             if label.kind is cl.ClassKind.IDENTITY:
                 continue

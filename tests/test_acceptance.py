@@ -1,15 +1,30 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a single PASS/FAIL line with its runtime (use -s to see
-them); every expectation is exact.
+Criteria 1-6 and 8-10 are the worked examples: each runs its check from
+the `verify` "paper-examples" suite, the one place those examples are
+checked, so `orbitfactor verify --suite paper-examples` makes the same
+assertions.  Criterion 7 sweeps the structured factorization against the
+oracle.  Each test prints a single PASS/FAIL line with its runtime (use -s
+to see them); every expectation is exact.
 """
 
 import time
 
-from orbitfactor import classes as cl
-from orbitfactor import gf, grouporbit as go, invariants as inv, moebius as mo
-from orbitfactor import structfactor as sf
-from orbitfactor import upoly
+from orbitfactor import gf, grouporbit as go, structfactor as sf, upoly, verify
+
+# registry check name -> (criterion number, time budget in seconds)
+CRITERIA = {
+    "degree-20 factorization over GF(19) gives five quartics": (1, 1.0),
+    "order-3 subgroup of PGL(2,17): orbit polynomial and factors": (2, 1.0),
+    "order-8 subgroup of PGL(2,7): counts follow Euler phi": (3, 1.0),
+    "PGL(2,3): specializations of the full invariant": (4, 5.0),
+    "ramification audit for the icosahedral groups": (5, 30.0),
+    "class counts and the involution dichotomy": (6, 60.0),
+    "points of the rational line label the classes (q=4)": (8, 30.0),
+    "Lang equation solved across PGL(2,q), q in {2,3}": (9, 60.0),
+    "degree-3 elements give all cubics at once": (10, 10.0),
+}
+_CHECKS = {name: fn for name, _, fn in verify._REGISTRY["paper-examples"]}
 
 
 class _Criterion:
@@ -34,128 +49,41 @@ class _Criterion:
         return False
 
 
-def P(ctx, *ints):
-    return upoly.Poly.from_ints(ctx, list(ints))
+def _run_check(number: int) -> None:
+    name, budget = next((name, budget) for name, (n, budget) in CRITERIA.items()
+                        if n == number)
+    with _Criterion(number, name, budget):
+        _CHECKS[name]()
 
 
+def test_every_criterion_names_a_registered_check():
+    assert set(CRITERIA) <= set(_CHECKS)
+    assert sorted(n for n, _ in CRITERIA.values()) == [1, 2, 3, 4, 5, 6, 8, 9, 10]
+
+
+# one named test per criterion, so each criterion keeps its own test id
 def test_criterion_1_headline_quartics():
-    with _Criterion(1, "five quartics over GF(19) in the stated family", 1.0):
-        ctx = gf.prime_field(19)
-        s = mo.parse_moebius(ctx, "(-x-1)/(x-1)")
-        res = sf.factor_by_orbit(s)
-        listed = [
-            P(ctx, 1, 13, -6, 6, 1),
-            P(ctx, 1, 10, -6, 9, 1),
-            P(ctx, 1, 7, -6, 12, 1),
-            P(ctx, 1, 5, -6, 14, 1),
-            P(ctx, 1, 4, -6, 15, 1),
-        ]
-        assert set(res.monic_factors()) == set(listed)
-        assert len(res.factors) == 5
-        for entry in res.factors:
-            lam = entry.lam.value
-            assert lam is not None
-            family = upoly.Poly(ctx, (ctx.one(), lam, ctx.elem(-6), -lam, ctx.one()))
-            assert entry.poly == family
+    _run_check(1)
 
 
 def test_criterion_2_order_three_over_gf17():
-    with _Criterion(2, "GF(17) orbit polynomial and the six listed cubics", 1.0):
-        ctx = gf.prime_field(17)
-        raw, s = mo.parse_moebius_raw(ctx, "(14x+13)/(6x+2)")
-        G = go.generate(ctx, [s])
-        Pg = inv.orbit_polynomial(G)
-        # listed family T^3 + (8t-1)T^2 + tT + (7t+4) for t the T-coefficient;
-        # the stored family must agree after the affine change of parameter
-        pairs = {i: ab for i, ab in enumerate(Pg.family)}
-        a1, b1 = pairs[1]
-        assert a1
-        for i, (want_a, want_b) in ((3, (0, 1)), (2, (8, -1)), (1, (1, 0)), (0, (7, 4))):
-            a_i, b_i = pairs[i]
-            assert a_i / a1 == ctx.elem(want_a)
-            assert b_i - a_i / a1 * b1 == ctx.elem(want_b)
-        companion = sf.companion_poly(ctx, raw)
-        assert companion == P(ctx, *([-13, -14] + [0] * 15 + [2, 6]))
-        fac = upoly.factorize(companion)
-        assert fac.unit == ctx.elem(6)
-        listed = [[7, 15, 0, 1], [16, 9, 3, 1], [2, 7, 4, 1],
-                  [8, 3, 6, 1], [9, 8, 12, 1], [1, 2, 15, 1]]
-        want = {P(ctx, *c) for c in listed}
-        assert {poly for poly, _ in fac.factors} == want
-        assert all(mult == 1 for _, mult in fac.factors)
-        res = sf.factor_by_orbit(s)
-        assert set(res.monic_factors()) == want
+    _run_check(2)
 
 
 def test_criterion_3_lambda_counts_gf7():
-    with _Criterion(3, "Euler-phi law for the order-8 family over GF(7)", 1.0):
-        ctx = gf.prime_field(7)
-        s = mo.parse_moebius(ctx, "(3x-1)/(x+3)")
-        phi = inv.invariant_generator(go.generate(ctx, [s]))
-        f, g = phi.monic_pair()
-        xqx = upoly.Poly.x_pow(ctx, 7) - upoly.Poly.x(ctx)
-        assert g.monic() == xqx
-        diff = f - (upoly.Poly.x_pow(ctx, 8) + upoly.Poly.one(ctx))
-        assert not diff or (diff % xqx == upoly.Poly.zero(ctx)
-                            and (diff // xqx).deg <= 0)
-        report = sf.lambda_family_report(s)
-        assert report.counts == {2: (1, 1), 4: (2, 2), 8: (4, 4)}
-        assert report.total == 7
+    _run_check(3)
 
 
 def test_criterion_4_pgl3_specializations():
-    with _Criterion(4, "PGL(2,3): f-g, f+g and f factor as stated", 5.0):
-        ctx = gf.prime_field(3)
-        G = go.full_pgl(ctx)
-        res1 = sf.factor_f_lambda(G, ctx.one())
-        assert res1.regular and res1.degree == 3
-        assert {poly for poly, _ in res1.factors} == set(upoly.monic_irreducibles(ctx, 3))
-        assert res1.count() == 8
-        res2 = sf.factor_f_lambda(G, ctx.elem(-1))
-        assert not res2.regular
-        assert res2.degree == 2 and res2.multiplicity == 4 and len(res2.factors) == 3
-        res0 = sf.factor_f_lambda(G, ctx.zero())
-        assert res0.regular and res0.degree == 4 and res0.count() == 6
+    _run_check(4)
 
 
 def test_criterion_5_ramification_audits():
-    with _Criterion(5, "icosahedral ramification audits reach 118", 30.0):
-        F4 = gf.field_create(2, 2)
-        A5 = go.full_pgl(F4)
-        assert go.nonregular_census(A5) == [(5, 12), (12, 5)]
-        audit = go.riemann_hurwitz_audit(A5)
-        assert audit.sum_differents == 118 == 2 * 60 - 2
-        assert audit.passed
-        F11 = gf.prime_field(11)
-        B = go.a5_subgroup(F11)
-        assert go.nonregular_census(B) == [(12, 5), (20, 3), (30, 2)]
-        audit_b = go.riemann_hurwitz_audit(B)
-        assert audit_b.tame_sum == 118 and audit_b.passed
+    _run_check(5)
 
 
 def test_criterion_6_class_counts():
-    with _Criterion(6, "class counts q+2 (odd) and q+1 (even), involution split", 60.0):
-        for p, m in ((3, 1), (5, 1), (7, 1), (3, 2)):
-            ctx = gf.field_create(p, m)
-            labels = cl.conjugacy_classes(ctx)
-            assert len(labels) == ctx.order + 2
-            invs = [c for c in labels if c.order == 2]
-            assert len(invs) == 2
-            kinds = {c.kind for c in invs}
-            assert kinds == {cl.ClassKind.SPLIT_INVOLUTION,
-                             cl.ClassKind.NONSPLIT_INVOLUTION}
-            for c in invs:
-                rational = c.representative.fixed_points(1)
-                closure = c.representative.fixed_points(2)
-                if c.kind is cl.ClassKind.SPLIT_INVOLUTION:
-                    assert len(rational) == 2
-                else:
-                    assert len(rational) == 0 and len(closure) == 2
-        for p, m in ((2, 1), (2, 2), (2, 3)):
-            ctx = gf.field_create(p, m)
-            labels = cl.conjugacy_classes(ctx)
-            assert len(labels) == ctx.order + 1
-            assert sum(1 for c in labels if c.order == 2) == 1
+    _run_check(6)
 
 
 def test_criterion_7_oracle_equivalence():
@@ -163,9 +91,8 @@ def test_criterion_7_oracle_equivalence():
         for p, m in ((5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
             ctx = gf.field_create(p, m)
             q = ctx.order
-            G = go.full_pgl(ctx)
             checked = 0
-            for s in G:
+            for s in go.full_pgl(ctx):
                 r = s.order()
                 if r <= 2 or (q + 1) % r:
                     continue
@@ -175,69 +102,15 @@ def test_criterion_7_oracle_equivalence():
                 assert res.unit == oracle.unit
                 checked += 1
             assert checked > 0
-        # split and unipotent stripped variants across whole small groups
-        for p, m in ((3, 1), (2, 2), (5, 1), (7, 1)):
-            ctx = gf.field_create(p, m)
-            G = go.full_pgl(ctx)
-            for s in G:
-                if s.is_identity():
-                    continue
-                res = sf.factor_by_orbit(s)
-                oracle = upoly.factorize(res.input)
-                assert res.as_multiset() == oracle.as_multiset()
-                assert res.unit == oracle.unit
 
 
 def test_criterion_8_correspondence_q4():
-    with _Criterion(8, "lambda <-> class bijection at q=4 with matching patterns", 30.0):
-        ctx = gf.field_create(2, 2)
-        labels = cl.conjugacy_classes(ctx)
-        assert len(labels) == 5
-        mu = cl.quadratic_orbit_value(ctx)
-        hit = set()
-        ident = cl.class_of_lambda(ctx, mo.INFINITY)
-        assert ident.kind is cl.ClassKind.IDENTITY
-        hit.add((ident.kind, ident.representative.key()))
-        G = go.full_pgl(ctx)
-        for v in ctx.elements():
-            label = cl.class_of_lambda(ctx, mo.ProjPoint(v))
-            assert isinstance(label, cl.ClassLabel)
-            if v == mu:
-                assert label.order == 2
-            hit.add((label.kind, label.representative.key()))
-            pattern = cl.factor_pattern_of_class(ctx, v)
-            actual = sf.factor_f_lambda(G, v)
-            assert actual.degree == pattern.degree
-            assert actual.multiplicity == pattern.multiplicity
-            assert len(actual.factors) == pattern.count
-        assert len(hit) == 5
+    _run_check(8)
 
 
 def test_criterion_9_lang_solver():
-    with _Criterion(9, "Lang equation solves across PGL(2,q), q in {2,3,4}", 60.0):
-        for p, m in ((2, 1), (3, 1), (2, 2)):
-            ctx = gf.field_create(p, m)
-            q = ctx.order
-            for s in go.full_pgl(ctx):
-                sol = cl.lang_solve(s)
-                assert sol.finite_count in (q, q + 1)
-                sig = mo.Moebius(*(e ** q for e in sol.t.entries()))
-                assert sig.inverse().compose(sol.t) == s.lift_to(sol.ext)
-                t_inv = sol.t.inverse()
-                image = {t_inv.apply(mo.ProjPoint(gf.embed(v, sol.ext)))
-                         for v in ctx.elements()}
-                image.add(t_inv.apply(mo.INFINITY))
-                assert image == set(sol.solution_points)
+    _run_check(9)
 
 
 def test_criterion_10_all_cubics():
-    with _Criterion(10, "degree-3 specializations give every cubic", 10.0):
-        for p, count in ((2, 2), (3, 8), (5, 40)):
-            ctx = gf.prime_field(p)
-            product = sf.all_cubics_product(ctx)
-            cubics = list(upoly.monic_irreducibles(ctx, 3))
-            assert len(cubics) == count
-            expected = upoly.Poly.one(ctx)
-            for cubic in cubics:
-                expected = expected * cubic
-            assert product == expected
+    _run_check(10)

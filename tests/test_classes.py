@@ -308,10 +308,14 @@ def test_lang_solve_everywhere(p, m):
         sol = cl.lang_solve(s)
         assert sol.finite_count in (q, q + 1)
         assert len(sol.solution_points) == q + 1
-        # defining equation, re-checked here
+        # defining equation and X_s = t^(-1)(P^1(F_q)), re-checked here
         ext = sol.ext
         sig = mo.Moebius(*(e ** q for e in sol.t.entries()))
         assert sig.inverse().compose(sol.t) == s.lift_to(ext)
+        t_inv = sol.t.inverse()
+        image = {t_inv.apply(mo.ProjPoint(gf.embed(v, ext))) for v in ctx.elements()}
+        image.add(t_inv.apply(mo.INFINITY))
+        assert image == set(sol.solution_points)
 
 
 def test_lang_identity(F3):
