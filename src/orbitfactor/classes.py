@@ -18,7 +18,9 @@ even q and two for odd q.
 The Lang equation s = sigma(t)^(-1) t is solved from its solution line:
 X_s = {z : s(z) = z^q} is t^(-1)(P^1(F_q)), so every cross-ratio of four
 points of X_s lies in F_q, and the cross-ratio map sending the first three
-points of X_s to infinity, 0 and 1 is a solution.
+points of X_s to infinity, 0 and 1 is a solution.  X_s itself comes from
+Speiser's lemma (Hilbert 90 for GL_2): two Frobenius-twisted sums over
+F_{q^r} give a map taking P^1(F_q) onto it, with no root finding.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from enum import Enum
 from typing import Union
 
 from . import gf, grouporbit as go, moebius as mo
-from . import structfactor as sf
-from . import upoly
 from .errors import CtxMismatchError, InvariantViolation
 
 
@@ -237,16 +237,100 @@ def _sigma_moebius(t: mo.Moebius, q: int) -> mo.Moebius:
     return mo.Moebius(*(e ** q for e in t.entries()))
 
 
+def _mat_mul(m: tuple, n: tuple) -> tuple:
+    """Product of 2x2 matrices held as (a, b, c, d), rows first."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _norm_preimage(ext: gf.FieldCtx, ctx: gf.FieldCtx, target: gf.FieldElem) -> gf.FieldElem:
+    """Some nu in ext with norm nu^((Q-1)/(q-1)) = target, for target in ctx*.
+
+    Walks ext* in encoding order and stops at the first x whose norm n has
+    target among its powers n^k, k < q-1; then nu = x^k.
+    """
+    q, big_q = ctx.order, ext.order
+    e = (big_q - 1) // (q - 1)
+    for i in range(1, big_q):
+        x = ext.decode(i)
+        n = gf.down_cast(x ** e, ctx)
+        nk = ctx.one()
+        for k in range(q - 1):
+            if nk == target:
+                return x ** k
+            nk = nk * n
+    raise InvariantViolation("no element of the extension has the required norm")
+
+
+def _speiser_map(s: mo.Moebius, r: int, ext: gf.FieldCtx) -> mo.Moebius:
+    """The map t0^(-1) of lang_solve, over ext = F_{q^r}, with columns the
+    first two independent twisted sums v (beta_0 = 1 and
+    beta_(k+1) = beta_k / nu^(q^k)).  Every v satisfies sigma(v) = nu*S*v,
+    so sigma(t0^(-1) u) = nu*S*t0^(-1) u for u in F_q^2, and the v over
+    y = (alpha^m, 0), (0, alpha^m), m < r, span ext^2.
+    """
+    ctx = s.ctx
+    q = ctx.order
+    zero, one = ctx.zero(), ctx.one()
+    a, b, c, d = s.entries()
+    inv_det = (a * d - b * c).inverse()
+    s_inv = (d * inv_det, -b * inv_det, -c * inv_det, a * inv_det)
+    mats = [(one, zero, zero, one)]  # S^(-k) for k <= r
+    for _ in range(r):
+        mats.append(_mat_mul(mats[-1], s_inv))
+    m00, m01, m10, m11 = mats.pop()
+    if m01 or m10 or m00 != m11:
+        raise InvariantViolation("S^r is not scalar")
+    nu = _norm_preimage(ext, ctx, m00)  # S^(-r) = (1/mu) I
+    betas, nu_k = [ext.one()], nu
+    for _ in range(r - 1):
+        betas.append(betas[-1] / nu_k)
+        nu_k = nu_k ** q
+    coeffs = [(beta, tuple(gf.embed(e, ext) for e in mat)) for beta, mat in zip(betas, mats)]
+
+    sigma_alpha = [ext.gen()] if r > 1 else []  # sigma^k(alpha), k < r
+    for _ in range(r - 1):
+        sigma_alpha.append(sigma_alpha[-1] ** q)
+    orbit = [ext.one()] * r  # sigma^k(alpha^m), k < r
+    first = None
+    for m in range(r):
+        if m:
+            orbit = [x * a for x, a in zip(orbit, sigma_alpha)]
+        for j in (0, 1):  # y = alpha^m times the j-th unit vector
+            v0 = v1 = ext.zero()
+            for xk, (beta, mat) in zip(orbit, coeffs):
+                u = beta * xk
+                v0 += u * mat[j]
+                v1 += u * mat[2 + j]
+            if first is None:
+                if v0 or v1:
+                    first = (v0, v1)
+            elif first[0] * v1 - first[1] * v0:
+                return mo.Moebius(first[0], v0, first[1], v1)
+    raise InvariantViolation("twisted sums found no two independent solution vectors")
+
+
 def lang_solve(s: mo.Moebius) -> LangSolution:
     """Solve s = sigma(t)^(-1) * t with t over F_{q^r}, r = order(s).
 
     X_s, the solutions of s(z) = z^q on P^1(F_{q^r}), is t0^(-1)(P^1(F_q))
-    for some solution t0.  With z0, z1, z2 the first three points of X_s in
-    key order, t is the Moebius map sending them to infinity, 0 and 1.  Then
-    t * t0^(-1) sends three points of P^1(F_q) to infinity, 0 and 1, so it
-    is some g in PGL(2,q), and t = g * t0 solves the equation because sigma
-    fixes g.  Every other solution is h * t for h in PGL(2,q).  Both the
-    defining equation and X_s = t^(-1)(P^1(F_q)) are checked.
+    for some solution t0, and Speiser's lemma builds t0^(-1) with no root
+    finding: with S the matrix of s, S^r = mu*I and nu of norm 1/mu, each
+    Frobenius-twisted sum v = sum_(k<r) beta_k S^(-k) sigma^k(y) solves
+    sigma(v) = nu*S*v, and two independent such v, from y = (alpha^m, 0)
+    and (0, alpha^m), are the columns of t0^(-1).  Here sigma is x -> x^q.
+
+    With z0, z1, z2 the first three points of X_s in key order, t is the
+    Moebius map sending them to infinity, 0 and 1.  Then t * t0^(-1) sends
+    three points of P^1(F_q) to infinity, 0 and 1, so it is some g in
+    PGL(2,q), and t = g * t0 solves the equation because sigma fixes g.
+    Every other solution is h * t for h in PGL(2,q).
+
+    Three checks raise InvariantViolation: every point of X_s satisfies
+    s(z) = z^q and the q+1 points are distinct, which makes them all the
+    roots of the degree-(q+1) companion (with infinity when c = 0); t
+    satisfies the defining equation; and X_s = t^(-1)(P^1(F_q)).
     """
     ctx = s.ctx
     q = ctx.order
@@ -254,10 +338,15 @@ def lang_solve(s: mo.Moebius) -> LangSolution:
     # no F_{q^r} scan below, so the field size alone need not be capped
     ext = gf.extension_of(ctx, r, cap=max(gf.size_cap(), q ** r))
 
-    finite = upoly.roots_in(sf.frobenius_companion(s), ext)
-    points = [mo.ProjPoint(v) for v in finite]
-    if not s.c:
-        points.append(mo.INFINITY)
+    line = [mo.ProjPoint(gf.embed(v, ext)) for v in ctx.elements()] + [mo.INFINITY]
+    t0_inv = _speiser_map(s, r, ext)
+    points = [t0_inv.apply(z) for z in line]
+    s_ext = s.lift_to(ext)
+    for z in points:
+        if s_ext.apply(z) != (z if z.value is None else mo.ProjPoint(z.value ** q)):
+            raise InvariantViolation("a point of X_s fails s(z) = z^q")
+    if len(set(points)) != q + 1:
+        raise InvariantViolation("X_s does not have q+1 distinct points")
     points.sort(key=lambda z: z.key())
 
     z0, z1, z2 = (z.value for z in points[:3])
@@ -267,11 +356,10 @@ def lang_solve(s: mo.Moebius) -> LangSolution:
         u, v = z2 - z0, z2 - z1
         t = mo.Moebius(u, -u * z1, v, -v * z0)
 
-    if _sigma_moebius(t, q).inverse().compose(t) != s.lift_to(ext):
+    if _sigma_moebius(t, q).inverse().compose(t) != s_ext:
         raise InvariantViolation("Lang solution fails its defining equation")
     t_inv = t.inverse()
-    image = {t_inv.apply(mo.ProjPoint(gf.embed(v, ext))) for v in ctx.elements()}
-    image.add(t_inv.apply(mo.INFINITY))
-    if image != set(points):
+    if {t_inv.apply(z) for z in line} != set(points):
         raise InvariantViolation("solution set is not the t-image of the rational line")
-    return LangSolution(s, t, ext, tuple(points), len(finite))
+    finite_count = sum(z.value is not None for z in points)
+    return LangSolution(s, t, ext, tuple(points), finite_count)

@@ -214,6 +214,8 @@ def _ex_q4_correspondence() -> str:
         _expect((actual.degree, actual.multiplicity, len(actual.factors))
                 == (pattern.degree, pattern.multiplicity, pattern.count),
                 "the class predicts the factor pattern")
+        _expect(actual.input.deg == pattern.degree * pattern.count * pattern.multiplicity,
+                "the predicted pattern accounts for the whole degree")
         seen.add((label.kind, label.representative.key()))
     _expect(len(seen) == 5, "infinity and the four finite values hit five distinct classes")
     return "bijection onto the 5 classes, infinity -> identity"

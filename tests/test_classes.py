@@ -287,9 +287,11 @@ def test_correspondence_regular_values_distinct_q3(F3):
     assert seen == {(cl.ClassKind.UNIPOTENT, 3), (cl.ClassKind.NONSPLIT, 4)}
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (4, None), (3, 1)])
+# q = 4 is the paper-examples check "points of the rational line label the
+# classes (q=4)", which makes the same comparisons
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1)])
 def test_factor_pattern_matches_oracle(p, m):
-    ctx = gf.field_create(2, 2) if p == 4 else gf.prime_field(p)
+    ctx = gf.field_create(p, m)
     G = go.full_pgl(ctx)
     for v in ctx.elements():
         pattern = cl.factor_pattern_of_class(ctx, v)
@@ -375,3 +377,63 @@ def test_lang_beyond_former_size_cap(F7):
     sig = mo.Moebius(*(e ** q for e in sol.t.entries()))
     assert sig.inverse().compose(sol.t) == s.lift_to(sol.ext)
     assert len(sol.solution_points) == q + 1
+
+
+def _lang_solve_by_roots(s):
+    """The former lang_solve: X_s as the roots of the companion over F_{q^r}
+    (with infinity when c = 0), then t from its first three points."""
+    ctx = s.ctx
+    q = ctx.order
+    r = s.order()
+    ext = gf.extension_of(ctx, r, cap=max(gf.size_cap(), q ** r))
+    finite = upoly.roots_in(sf.frobenius_companion(s), ext)
+    points = [mo.ProjPoint(v) for v in finite]
+    if not s.c:
+        points.append(mo.INFINITY)
+    points.sort(key=lambda z: z.key())
+    z0, z1, z2 = (z.value for z in points[:3])
+    if z0 is None:
+        t = mo.Moebius(ext.one(), -z1, ext.zero(), z2 - z1)
+    else:
+        u, v = z2 - z0, z2 - z1
+        t = mo.Moebius(u, -u * z1, v, -v * z0)
+    return cl.LangSolution(s, t, ext, tuple(points), len(finite))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_lang_solve_matches_root_finding_everywhere(p, m):
+    for s in go.full_pgl(gf.field_create(p, m)):
+        assert cl.lang_solve(s) == _lang_solve_by_roots(s)
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 3), (3, 2)])
+def test_lang_solve_matches_root_finding_on_class_representatives(p, m):
+    ctx = gf.field_create(p, m)
+    reps = [label.representative for label in cl.conjugacy_classes(ctx)]
+    for s in reps + [mo.Moebius.identity(ctx)]:
+        assert cl.lang_solve(s) == _lang_solve_by_roots(s)
+
+
+def test_lang_solve_needs_no_root_finding(monkeypatch, F4, F7):
+    elements = list(go.full_pgl(F4)) + [mo.parse_moebius(F7, "(3x-1)/(x+3)")]
+    for s in elements:  # choosing each modulus tests irreducibility
+        gf.extension_of(s.ctx, s.order(), cap=max(gf.size_cap(), s.ctx.order ** s.order()))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Speiser construction needs no polynomial root finding")
+
+    for name in ("roots_in", "powmod", "gcd", "factorize"):
+        monkeypatch.setattr(upoly, name, forbidden)
+    for s in elements:
+        sol = cl.lang_solve(s)
+        assert len(sol.solution_points) == s.ctx.order + 1
+
+
+def test_lang_solve_unipotent_at_31():
+    # over F_{31^31}; the former root-finding path did not finish within 120 s
+    s = mo.parse_moebius(gf.prime_field(31), "(x+0)/(x+1)")
+    start = time.perf_counter()
+    sol = cl.lang_solve(s)
+    assert time.perf_counter() - start < 5
+    assert sol.ext.order == 31 ** 31
+    assert len(set(sol.solution_points)) == len(sol.solution_points) == 32
