@@ -137,7 +137,7 @@ def _classes_by_key(ctx: gf.FieldCtx) -> tuple[tuple[ClassLabel, ...], dict]:
         k = _class_key(ctx, key)
         if k in by_key:
             continue
-        rep = mo.Moebius(*map(ctx.decode, key))
+        rep = mo.Moebius.from_key(ctx, key)
         kind, order = _kind_of(rep, q_odd)
         size = _class_size(kind, q)
         by_key[k] = ClassLabel(kind, order, rep, size, group_order // size)

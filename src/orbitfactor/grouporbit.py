@@ -11,7 +11,7 @@ ramification audit.  Element orders come from the matrix too (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from . import gf, moebius as mo
 from .errors import (
@@ -138,55 +138,43 @@ def pgl_keys(ctx: gf.FieldCtx) -> Iterator[tuple[int, int, int, int]]:
 
 def full_pgl(ctx: gf.FieldCtx) -> Subgroup:
     """All of PGL(2,q), order q^3 - q, built from :func:`pgl_keys`."""
-    decode = ctx.decode
-    group = Subgroup(ctx, (mo.Moebius(*map(decode, k)) for k in pgl_keys(ctx)))
+    group = Subgroup(ctx, (mo.Moebius.from_key(ctx, k) for k in pgl_keys(ctx)))
     q = ctx.order
     if len(group) != q ** 3 - q:
         raise InvariantViolation("PGL enumeration produced the wrong order")
     return group
 
 
-def _lifted(G: Subgroup, ext: gf.FieldCtx) -> list[mo.Moebius]:
-    """Group elements lifted to an extension, so all orbit points share one ctx."""
-    if ext == G.ctx:
-        return list(G.elements)
-    return [s.lift_to(ext) for s in G.elements]
+def _orbits(G: Subgroup, candidates: Iterable[int], ext: gf.FieldCtx) -> list[Orbit]:
+    """The G-orbits through the candidates, points of P^1(ext) given as
+    encodings in increasing order (-1 for infinity), each with its stabilizer
+    and checked against the orbit-stabilizer identity, sorted by size and
+    then least point.
 
-
-def orbit_of(G: Subgroup, z: mo.ProjPoint, ext: Optional[gf.FieldCtx] = None
-             ) -> tuple[mo.ProjPoint, ...]:
-    if ext is None:
-        ext = z.value.ctx if z.value is not None else G.ctx
-    pts = {s.apply(z) for s in _lifted(G, ext)}
-    return tuple(sorted(pts, key=lambda w: w.key()))
-
-
-def stabilizer_of(G: Subgroup, z: mo.ProjPoint,
-                  ext: Optional[gf.FieldCtx] = None) -> Subgroup:
-    if ext is None:
-        ext = z.value.ctx if z.value is not None else G.ctx
-    pairs = zip(G.elements, _lifted(G, ext))
-    return Subgroup(G.ctx, (s for s, lifted in pairs if lifted.apply(z) == z))
-
-
-def _orbits(G: Subgroup, points: Iterable[mo.ProjPoint],
-            ext: gf.FieldCtx) -> list[Orbit]:
-    """The G-orbits through points of P^1(ext), each with its stabilizer and
-    checked against the orbit-stabilizer identity, sorted by size and then
-    least point."""
-    orbits = []
-    assigned: set[mo.ProjPoint] = set()
-    for z in points:
+    The first candidate not yet in an orbit is the least point of its own
+    orbit, since every smaller point is already placed; one pass of its
+    images over G gives both the orbit and the stabilizer of that point.
+    Points are built only for the returned orbits.
+    """
+    elements = G.elements
+    keys = [s.key() for s in elements]
+    n = len(elements)
+    image = mo.image
+    found = []
+    assigned: set[int] = set()
+    for z in candidates:
         if z in assigned:
             continue
-        pts = orbit_of(G, z, ext)
-        assigned.update(pts)
-        stab = stabilizer_of(G, pts[0], ext)
-        if len(pts) * len(stab) != len(G):
+        images = [image(ext, k, z) for k in keys]
+        pts = set(images)
+        stab = [s for s, w in zip(elements, images) if w == z]
+        if len(pts) * len(stab) != n:
             raise InvariantViolation("orbit-stabilizer identity failed")
-        orbits.append(Orbit(pts, stab, len(pts) == len(G)))
-    orbits.sort(key=lambda o: (o.size, o.points[0].key()))
-    return orbits
+        assigned |= pts
+        found.append((sorted(pts), stab))
+    found.sort(key=lambda o: (len(o[0]), o[0][0]))
+    return [Orbit(tuple(mo.point_of(ext, x) for x in pts), Subgroup(G.ctx, stab), len(pts) == n)
+            for pts, stab in found]
 
 
 def orbit_decomposition(G: Subgroup, k: int) -> OrbitReport:
@@ -195,7 +183,7 @@ def orbit_decomposition(G: Subgroup, k: int) -> OrbitReport:
     if q ** k > MAX_POINTS:
         raise SizeCapError(f"{q}^{k} points exceed the enumeration cap")
     ext = gf.extension_of(G.ctx, k)
-    report = OrbitReport(k, ext, tuple(_orbits(G, mo.projective_line(ext), ext)))
+    report = OrbitReport(k, ext, tuple(_orbits(G, range(-1, ext.order), ext)))
     if sum(o.size for o in report.orbits) != ext.order + 1:
         raise InvariantViolation("orbits do not partition the projective line")
     return report
@@ -206,18 +194,19 @@ def nonregular_orbits(G: Subgroup) -> tuple[Orbit, ...]:
 
     Every point with a nontrivial stabilizer is a fixed point of some
     non-identity element, hence lies on P^1(F_{q^2}); it suffices to decompose
-    the union of those fixed points.
+    the union of those fixed points, found as encodings over one F_{q^2}.
     """
     if len(G) == 1:
         return ()
-    candidates: set[mo.ProjPoint] = set()
+    ext = gf.extension_of(G.ctx, 2)
+    candidates: set[int] = set()
     for s in G:
-        if s.is_identity():
-            continue
-        candidates.update(s.fixed_points(2))
-    orbits = _orbits(G, candidates, gf.extension_of(G.ctx, 2))
+        if not s.is_identity():
+            candidates.update(s.fixed_encodings(ext))
+    orbits = _orbits(G, sorted(candidates), ext)
     for orbit in orbits:
-        if not candidates.issuperset(orbit.points):
+        if not candidates.issuperset(-1 if z.value is None else z.value.rep
+                                     for z in orbit.points):
             raise InvariantViolation("orbit of a fixed point left the fixed-point set")
         if orbit.regular:
             raise InvariantViolation("bad stabilizer for a non-regular orbit")
@@ -297,7 +286,6 @@ def a5_subgroup(ctx: gf.FieldCtx) -> Subgroup:
     element's order is fixed by its :func:`moebius.kappa`, so it is computed
     once per kappa, and only elements of order 5 and 2 become Moebius maps.
     """
-    decode = ctx.decode
     order_of_kappa: dict = {}
     fives, involutions = [], []
     for k in pgl_keys(ctx):
@@ -306,11 +294,11 @@ def a5_subgroup(ctx: gf.FieldCtx) -> Subgroup:
         kappa = mo.kappa(ctx, *k)
         r = order_of_kappa.get(kappa)
         if r is None:
-            r = order_of_kappa[kappa] = mo.Moebius(*map(decode, k)).order()
+            r = order_of_kappa[kappa] = mo.Moebius.from_key(ctx, k).order()
         if r == 5:
-            fives.append(mo.Moebius(*map(decode, k)))
+            fives.append(mo.Moebius.from_key(ctx, k))
         elif r == 2:
-            involutions.append(mo.Moebius(*map(decode, k)))
+            involutions.append(mo.Moebius.from_key(ctx, k))
     if not fives:
         raise InvariantViolation(f"PGL(2,{ctx.order}) has no elements of order 5")
     for a in fives:

@@ -85,11 +85,6 @@ class RatFunc:
     def is_constant(self) -> bool:
         return self.num.deg <= 0 and self.den.deg == 0
 
-    def constant_value(self) -> gf.FieldElem:
-        if not self.is_constant():
-            raise InvariantViolation("not a constant rational function")
-        return self.num.coeffs[0] if self.num else self.ctx.zero()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -287,17 +282,18 @@ def _check_distinct_lines(G: go.Subgroup) -> None:
     """Pairwise non-proportional numerators ax+b and denominators cx+d for
     cyclic G of order r > 2 dividing q+1 (a fixed-point-freeness
     consequence)."""
+    ctx = G.ctx
     m = len(G)
-    q = G.ctx.order
-    if m <= 2 or (q + 1) % m or not G.is_cyclic():
+    if m <= 2 or (ctx.order + 1) % m or not G.is_cyclic():
         return
 
-    def monic(u: gf.FieldElem, v: gf.FieldElem) -> tuple:
-        """The line ux+v up to a scalar, as encodings of its monic form."""
-        return (1, (v / u).rep) if u else (0, 1)
+    def monic(u: int, v: int) -> tuple:
+        """The line ux+v, u and v encoded, up to a scalar: its monic form."""
+        return (1, ctx.mul(v, ctx.inv(u))) if u else (0, 1)
 
-    numerators = {monic(s.a, s.b) for s in G.elements}
-    denominators = {monic(s.c, s.d) for s in G.elements}
+    keys = [s.key() for s in G.elements]
+    numerators = {monic(a, b) for a, b, _, _ in keys}
+    denominators = {monic(c, d) for _, _, c, d in keys}
     if len(numerators) < m or len(denominators) < m:
         raise InvariantViolation("proportional numerator or denominator lines "
                                  "in a fixed-point-free cyclic group")
@@ -326,7 +322,7 @@ def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
     _check_distinct_lines(G)
     ctx = G.ctx
     m = len(G)
-    entries = [(s.a.rep, s.b.rep, s.c.rep, s.d.rep) for s in G.elements]
+    entries = [s.key() for s in G.elements]
     at_inf = [ctx.mul(a, ctx.inv(c)) for a, _, c, _ in entries if c]  # the g(inf) != inf
     seen = set(at_inf)
     if (len(seen) + 1) * (m - len(at_inf)) != m:

@@ -1,9 +1,13 @@
 """Elements of PGL(2,q) as normalized linear fractional transformations.
 
-A transformation x -> (ax+b)/(cx+d) is stored by the unique scalar multiple
-of (a,b,c,d) whose first nonzero entry is 1, so equality and hashing are
-entry-wise.  The action extends to the projective line over any extension
-field with the usual conventions at infinity.
+A transformation x -> (ax+b)/(cx+d) is held as its key: the encodings of
+the unique scalar multiple of (a,b,c,d) whose first nonzero entry is 1, so
+equality and hashing compare four ints.  Composition, inverse, order, the
+action and fixed points run on the field's int arithmetic; the entries are
+decoded to field elements only when asked for.  An element keeps its
+encoding in every extension, so the action extends to the projective line
+over any extension field, with the usual conventions at infinity, without
+converting the key.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ def projective_line(ctx: gf.FieldCtx) -> list[ProjPoint]:
     return [INFINITY] + [ProjPoint(v) for v in ctx.elements()]
 
 
+def point_of(F: gf.FieldCtx, x: int) -> ProjPoint:
+    """The point of P^1(F) with encoding x, -1 for infinity."""
+    return INFINITY if x < 0 else ProjPoint(F.decode(x))
+
+
 def frobenius_point(z: ProjPoint, e: int = 1) -> ProjPoint:
     """Coordinate Frobenius on P^1; fixes infinity."""
     if z.value is None:
@@ -91,25 +100,59 @@ def kappa(ctx: gf.FieldCtx, a: int, b: int, c: int, d: int) -> int:
     return mul(mul(tr, tr), ctx.inv(ctx.sub(mul(a, d), mul(b, c))))
 
 
-class Moebius:
-    """x -> (ax+b)/(cx+d) with ad - bc != 0, in normalized form."""
+def _normalized(ctx: gf.FieldCtx, a: int, b: int, c: int, d: int) -> tuple:
+    """The key of (a, b, c, d): the scalar multiple, on encodings, whose first
+    nonzero entry is 1.  With ad - bc != 0, a = 0 forces b != 0."""
+    first = a or b
+    if first == 1:
+        return (a, b, c, d)
+    mul, inv = ctx.mul, ctx.inv(first)
+    return (mul(a, inv), mul(b, inv), mul(c, inv), mul(d, inv))
 
-    __slots__ = ("ctx", "a", "b", "c", "d", "_lifts")
+
+def _checked(ctx: gf.FieldCtx, a: int, b: int, c: int, d: int) -> tuple:
+    """The key of entries from outside, which must not be singular."""
+    if ctx.mul(a, d) == ctx.mul(b, c):
+        raise InvariantViolation("singular coefficient matrix for a Moebius map")
+    return _normalized(ctx, a, b, c, d)
+
+
+def image(F: gf.FieldCtx, key: tuple, x: int) -> int:
+    """The image of the point x of P^1(F), an encoding or -1 for infinity,
+    under the map with key `key` over a subfield of F (or F itself)."""
+    a, b, c, d = key
+    if x < 0:
+        return F.mul(a, F.inv(c)) if c else -1
+    mul, add = F.mul, F.add
+    den = add(mul(c, x), d)
+    if not den:
+        return -1
+    return mul(add(mul(a, x), b), F.inv(den))
+
+
+class Moebius:
+    """x -> (ax+b)/(cx+d) with ad - bc != 0, held as its normalized key.
+
+    The key is the four entries as encodings, scaled so that the first
+    nonzero one is 1; every operation works on it with the field's int
+    arithmetic.  The entries a, b, c, d are decoded on access.
+    """
+
+    __slots__ = ("ctx", "_key")
 
     def __init__(self, a: gf.FieldElem, b: gf.FieldElem, c: gf.FieldElem, d: gf.FieldElem):
         ctx = a.ctx
-        det = a * d - b * c
-        if not det:
-            raise InvariantViolation("singular coefficient matrix for a Moebius map")
-        for first in (a, b, c, d):
-            if first:
-                break
-        if first != ctx.one():
-            inv = first.inverse()
-            a, b, c, d = a * inv, b * inv, c * inv, d * inv
+        for e in (b, c, d):
+            if e.ctx is not ctx and e.ctx != ctx:
+                raise CtxMismatchError(f"entries over {ctx} and {e.ctx} cannot be combined")
         self.ctx = ctx
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self._lifts = None
+        self._key = _checked(ctx, a.rep, b.rep, c.rep, d.rep)
+
+    @classmethod
+    def from_key(cls, ctx: gf.FieldCtx, entries: tuple) -> "Moebius":
+        """The map with entries (a, b, c, d) given as encodings over ctx;
+        they are normalized, so `key()` round-trips."""
+        return _of(ctx, _checked(ctx, *entries))
 
     @classmethod
     def from_ints(cls, ctx: gf.FieldCtx, a: int, b: int, c: int, d: int) -> "Moebius":
@@ -117,27 +160,40 @@ class Moebius:
 
     @classmethod
     def identity(cls, ctx: gf.FieldCtx) -> "Moebius":
-        return cls(ctx.one(), ctx.zero(), ctx.zero(), ctx.one())
+        return _of(ctx, IDENTITY_KEY)
+
+    @property
+    def a(self) -> gf.FieldElem:
+        return self.ctx.decode(self._key[0])
+
+    @property
+    def b(self) -> gf.FieldElem:
+        return self.ctx.decode(self._key[1])
+
+    @property
+    def c(self) -> gf.FieldElem:
+        return self.ctx.decode(self._key[2])
+
+    @property
+    def d(self) -> gf.FieldElem:
+        return self.ctx.decode(self._key[3])
 
     def entries(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(map(self.ctx.decode, self._key))
 
     def is_identity(self) -> bool:
-        ctx = self.ctx
-        return (self.a == ctx.one() and not self.b and not self.c
-                and self.d == ctx.one())
+        return self._key == IDENTITY_KEY
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Moebius):
             return NotImplemented
-        return (self.ctx == other.ctx and self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
+        return self._key == other._key and (self.ctx is other.ctx or self.ctx == other.ctx)
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(self._key)
 
     def key(self) -> tuple:
-        return (self.a.encode(), self.b.encode(), self.c.encode(), self.d.encode())
+        return self._key
 
     def __repr__(self) -> str:
         return format_moebius(self)
@@ -146,18 +202,23 @@ class Moebius:
 
     def compose(self, other: "Moebius") -> "Moebius":
         """self after other: (self.compose(other))(z) = self(other(z))."""
-        if self.ctx != other.ctx:
+        ctx = self.ctx
+        if other.ctx is not ctx and other.ctx != ctx:
             raise CtxMismatchError("transformations over different fields")
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return Moebius(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-                       c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+        mul, add = ctx.mul, ctx.add
+        a1, b1, c1, d1 = self._key
+        a2, b2, c2, d2 = other._key
+        return _of(ctx, _normalized(
+            ctx, add(mul(a1, a2), mul(b1, c2)), add(mul(a1, b2), mul(b1, d2)),
+            add(mul(c1, a2), mul(d1, c2)), add(mul(c1, b2), mul(d1, d2))))
 
     def __mul__(self, other: "Moebius") -> "Moebius":
         return self.compose(other)
 
     def inverse(self) -> "Moebius":
-        return Moebius(self.d, -self.b, -self.c, self.a)
+        ctx = self.ctx
+        a, b, c, d = self._key
+        return _of(ctx, _normalized(ctx, d, ctx.neg(b), ctx.neg(c), a))
 
     def power(self, n: int) -> "Moebius":
         if n < 0:
@@ -180,11 +241,11 @@ class Moebius:
         U_(n+1) = t*U_n - D*U_(n-1).  M is not scalar, so M^n is scalar,
         the identity of PGL(2,q), exactly when U_n = 0.
         """
-        if self.is_identity():
+        if self._key == IDENTITY_KEY:
             return 1
         ctx = self.ctx
         mul, sub = ctx.mul, ctx.sub
-        a, b, c, d = (e.rep for e in self.entries())
+        a, b, c, d = self._key
         tr, det = ctx.add(a, d), sub(mul(a, d), mul(b, c))
         prev, cur = 0, 1  # U_0, U_1
         for n in range(2, ctx.order + 2):
@@ -206,32 +267,24 @@ class Moebius:
     # -- action ------------------------------------------------------------------
 
     def lift_to(self, ext: gf.FieldCtx) -> "Moebius":
-        """The same transformation with entries embedded in an extension."""
-        if ext == self.ctx:
+        """The same transformation over an extension: an element keeps its
+        encoding in every field above it, so the key does not change."""
+        if ext is self.ctx or ext == self.ctx:
             return self
-        if self._lifts is None:
-            self._lifts = {}
-        cached = self._lifts.get(ext)
-        if cached is None:
-            cached = Moebius(*(gf.embed(e, ext) for e in self.entries()))
-            self._lifts[ext] = cached
-        return cached
+        if not gf.is_subctx(self.ctx, ext):
+            raise CtxMismatchError(f"{self.ctx} does not embed into {ext}")
+        return _of(ext, self._key)
 
     def apply(self, z: ProjPoint) -> ProjPoint:
         """Evaluate at a point of P^1 over the base field or an extension."""
-        if z.value is None:
-            if not self.c:
-                return INFINITY
-            return ProjPoint(self.a / self.c)
         v = z.value
-        if v.ctx != self.ctx:
-            if not gf.is_subctx(self.ctx, v.ctx):
+        if v is None:
+            F, x = self.ctx, -1
+        else:
+            F, x = v.ctx, v.rep
+            if F is not self.ctx and not gf.is_subctx(self.ctx, F):
                 raise CtxMismatchError("point does not lie over the transformation's field")
-            return self.lift_to(v.ctx).apply(z)
-        den = self.c * v + self.d
-        if not den:
-            return INFINITY
-        return ProjPoint((self.a * v + self.b) / den)
+        return point_of(F, image(F, self._key, x))
 
     def __call__(self, z: ProjPoint) -> ProjPoint:
         return self.apply(z)
@@ -255,30 +308,57 @@ class Moebius:
             return MoebiusClass.UNIPOTENT
         return MoebiusClass.SPLIT if gf.is_square(disc) else MoebiusClass.NONSPLIT
 
-    def fixed_points(self, k: int = 1) -> tuple[ProjPoint, ...]:
-        """All fixed points on P^1(F_{q^k}), sorted; at most two.
+    def fixed_encodings(self, ext: gf.FieldCtx) -> tuple[int, ...]:
+        """The fixed points on P^1(ext), for ext an extension of the field,
+        as sorted encodings with -1 for infinity; at most two.
 
         z = (az+b)/(cz+d) in closed form: for c = 0 the points are infinity
         and b/(d-a) when d != a, otherwise the roots of T^2 + ((d-a)/c)T - b/c
-        by :func:`gf.quadratic_roots`.  Over the closure (k = 2 suffices) the
+        by :func:`gf.quadratic_roots`.  Each is checked to be fixed.
+        """
+        if self._key == IDENTITY_KEY:
+            raise IdentityInputError("every point is fixed by the identity")
+        ctx = self.ctx
+        if ext is not ctx and not gf.is_subctx(ctx, ext):
+            raise CtxMismatchError(f"{ctx} does not embed into {ext}")
+        mul, sub = ctx.mul, ctx.sub
+        a, b, c, d = key = self._key
+        if not c:
+            out = [-1]
+            if d != a:
+                out.append(mul(b, ctx.inv(sub(d, a))))
+        else:
+            inv_c = ctx.inv(c)
+            roots = gf.quadratic_roots(ext.decode(mul(sub(d, a), inv_c)),
+                                       ext.decode(ctx.neg(mul(b, inv_c))))
+            out = [r.rep for r in roots]
+        for x in out:
+            if image(ext, key, x) != x:
+                raise InvariantViolation(f"{self} moves its computed fixed point "
+                                         f"{point_of(ext, x)}")
+        out.sort()
+        return tuple(out)
+
+    def fixed_points(self, k: int = 1) -> tuple[ProjPoint, ...]:
+        """All fixed points on P^1(F_{q^k}), sorted; at most two (see
+        :meth:`fixed_encodings`).  Over the closure (k = 2 suffices) the
         count is 1 exactly for unipotent elements and 2 otherwise.
         """
-        if self.is_identity():
+        if self._key == IDENTITY_KEY:
             raise IdentityInputError("every point is fixed by the identity")
         ext = gf.extension_of(self.ctx, k)
-        lifted = self.lift_to(ext)
-        a, b, c, d = lifted.entries()
-        if not c:
-            out = [INFINITY]
-            if d != a:
-                out.append(ProjPoint(b / (d - a)))
-        else:
-            out = [ProjPoint(r) for r in gf.quadratic_roots((d - a) / c, -b / c)]
-        for z in out:
-            if lifted.apply(z) != z:
-                raise InvariantViolation(f"{self} moves its computed fixed point {z}")
-        out.sort(key=lambda z: z.key())
-        return tuple(out)
+        return tuple(point_of(ext, x) for x in self.fixed_encodings(ext))
+
+
+_new = object.__new__
+
+
+def _of(ctx: gf.FieldCtx, key: tuple) -> Moebius:
+    """The map over ctx whose key is `key`, already normalized."""
+    s = _new(Moebius)
+    s.ctx = ctx
+    s._key = key
+    return s
 
 
 # -- parsing and formatting ---------------------------------------------------------

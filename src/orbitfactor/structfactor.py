@@ -232,13 +232,13 @@ def lambda_family_report(s: mo.Moebius) -> LambdaFamilyReport:
     if len(G) != q + 1:
         raise WrongOrderError(f"order must be exactly q+1 = {q + 1}")
     family, _ = inv.orbit_family(G)
-    a, b, c, d = s.entries()
+    a, b, c, d = s.key()
     seen = set()
     counts: dict[int, int] = {}
     for lam in ctx.elements():
         h = family_member(ctx, family, lam)
-        nu = c * h.coeffs[q] - d
-        w = mo.Moebius(a + nu, b, c, d + nu)
+        nu = ctx.sub(ctx.mul(c, h.coeffs[q].rep), d)
+        w = mo.Moebius.from_key(ctx, (ctx.add(a, nu), b, c, ctx.add(d, nu)))
         if w.is_identity() or w not in G or w in seen:
             raise InvariantViolation("f - lambda*g is not the companion of a new "
                                      "non-identity element of <s>")

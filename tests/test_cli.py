@@ -21,9 +21,11 @@ def run_cli(capsys, *argv):
 # over F_2), text and --json; and, on fields of 257 to 4096 elements, lang
 # over F_4 (F_1024), orbits --ext 3 over F_7 (F_343) and --ext 4 over F_5
 # (F_625), and factor --k 2 over F_17 (F_289); factor over F_7 of
-# s = 3x+1, with c = 0 and a raw leading entry other than 1; and classes
+# s = 3x+1, with c = 0 and a raw leading entry other than 1; classes
 # over F_13, F_16, F_17 with --lambda 5 and F_37, and over F_41, where
-# PGL(2,41) is past the group-order cap (exit 2)
+# PGL(2,41) is past the group-order cap (exit 2); and orbits of the order-6
+# group <x+1, 1/x> on P^1(F_{2^13}), in the computed tier (--json), and of
+# the order-10 group <3x, -1/x> on P^1(F_121)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from orbitfactor import gf, grouporbit as go, moebius as mo, upoly
-from orbitfactor.errors import IdentityInputError, InvariantViolation
+from orbitfactor.errors import CtxMismatchError, IdentityInputError, InvariantViolation
 
 
 def test_normalization_and_equality(F19):
@@ -17,6 +17,30 @@ def test_normalization_and_equality(F19):
 def test_singular_matrix_rejected(F5):
     with pytest.raises(InvariantViolation):
         mo.Moebius.from_ints(F5, 1, 2, 2, 4)
+
+
+def test_entries_over_different_fields_rejected(F5, F7, F4):
+    with pytest.raises(CtxMismatchError):
+        mo.Moebius(F5.one(), F7.one(), F5.zero(), F5.one())
+    with pytest.raises(CtxMismatchError):
+        mo.Moebius(F4.gen(), F4.one(), gf.prime_field(2).one(), F4.zero())
+
+
+def test_lift_to_a_field_without_the_base_rejected(F4, F9):
+    s = mo.parse_moebius(F4, "(1)/(x+[0,1])")
+    for other in (F9, gf.field_create(2, 3), gf.prime_field(2)):
+        with pytest.raises(CtxMismatchError):
+            s.lift_to(other)
+    assert s.lift_to(gf.extension_of(F4, 2)).key() == s.key()
+
+
+def test_apply_to_a_point_outside_the_extensions_rejected(F4, F9):
+    s = mo.parse_moebius(F4, "(1)/(x+[0,1])")
+    for other in (F9, gf.field_create(2, 3)):
+        with pytest.raises(CtxMismatchError):
+            s.apply(mo.ProjPoint(other.gen()))
+        with pytest.raises(CtxMismatchError):
+            s.fixed_encodings(other)
 
 
 def test_apply_conventions(F19):
@@ -203,8 +227,7 @@ def test_order_and_fixed_points_match_references_on_samples(make, ks, count):
                                        (3, 2, "([0,1]x+1)/(x+1)")])
 def test_order_and_fixed_points_use_field_arithmetic_only(monkeypatch, p, m, text):
     s = mo.parse_moebius(gf.field_create(p, m), text)
-    for k in (1, 2):
-        s.lift_to(gf.extension_of(s.ctx, k))  # builds the lifts, then no Moebius is built
+    gf.extension_of(s.ctx, 2)  # builds F_{q^2}, then no Moebius is built
 
     def forbidden(*args, **kwargs):
         raise AssertionError("order and fixed points need no polynomial or map arithmetic")
@@ -212,6 +235,7 @@ def test_order_and_fixed_points_use_field_arithmetic_only(monkeypatch, p, m, tex
     monkeypatch.setattr(upoly, "roots_in", forbidden)
     monkeypatch.setattr(upoly, "factorize", forbidden)
     monkeypatch.setattr(mo.Moebius, "__init__", forbidden)
+    monkeypatch.setattr(mo, "_of", forbidden)
     assert s.order() > 1
     assert len(s.fixed_points(2)) == 2
 
