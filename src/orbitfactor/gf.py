@@ -399,14 +399,21 @@ def _vector_ops(base: FieldCtx, mod: tuple) -> tuple:
         prev = rows[-1]
         rows.append(baddmul([0] + prev[:-1], prev[-1], rows[0]))
 
-    def add(x, y):
-        return _number(list(map(badd, digits(x), digits(y))), b)
+    if base.p == 2:
+        # an encoding is the bit vector of its F_2 coordinates at every depth
+        add = sub = int.__xor__
 
-    def sub(x, y):
-        return _number(list(map(bsub, digits(x), digits(y))), b)
+        def neg(x):
+            return x
+    else:
+        def add(x, y):
+            return _number(list(map(badd, digits(x), digits(y))), b)
 
-    def neg(x):
-        return _number(list(map(bneg, digits(x))), b)
+        def sub(x, y):
+            return _number(list(map(bsub, digits(x), digits(y))), b)
+
+        def neg(x):
+            return _number(list(map(bneg, digits(x))), b)
 
     if base.base is None:
         p = b
@@ -480,11 +487,14 @@ def _vector_ops(base: FieldCtx, mod: tuple) -> tuple:
     return add, sub, neg, mul, inv, addmul
 
 
-def _primitive_element(order: int, mul) -> int:
-    """The least encoding that generates the multiplicative group."""
+def _primitive_element(p: int, order: int, mul) -> int:
+    """The least encoding that generates the multiplicative group.
+
+    In an extension field the encodings below p are F_p, which generates
+    none, so the search starts at p."""
     n = order - 1
     primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
-    for g in range(1, order):
+    for g in range(p if order > p else 1, order):
         if all(_power(mul, g, n // r) != 1 for r in primes):
             return g
     raise AssertionError("unreachable: the multiplicative group is cyclic")
@@ -504,9 +514,7 @@ def _log_arrays(p: int, order: int, add, mul) -> tuple:
     changes only the constant digit x % p, so zech costs no field operation.
     """
     n = order - 1
-    g = _primitive_element(order, mul)
-    if p == 2:
-        add = int.__xor__
+    g = _primitive_element(p, order, mul)
     c = p
     while c * c < order:
         c *= p

@@ -5,9 +5,11 @@ are the images of x under G; its nonconstant coefficients share a single
 denominator A(x) and any one of them generates the invariant function field.
 All coefficients are affine in the first nonconstant one, t, which yields
 the linear one-parameter family attached to G.  :func:`orbit_family` reads
-the family off two orbits: the orbit of infinity, where t has its poles,
-gives the slopes, and one more orbit gives the constants, each a product of
-|G| linear factors, O(|G|^2) operations in F_q or F_{q^2}, for any F_q.
+the family off two fibres of t: the orbit of infinity, where t has its
+poles, gives the slopes, and one more orbit gives the constants, each a
+product of |G| linear factors, O(|G|^2) operations in F_q, or in F_{q^2}
+for a transitive group other than the nonsplit torus, whose second fibre
+is a companion polynomial over F_q.
 :func:`orbit_polynomial` builds the rational-function coefficients from the
 family in closed form, without a gcd, and the generator of the invariant
 field is its parameter t = -B/Ahat as it stands (Ahat = sum of a_i x^i,
@@ -304,20 +306,24 @@ def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
     (a_i, b_i) with c_i = a_i*t + b_i for its coefficients c_i and the
     parameter t = c_j, j = param_index.
 
-    Read off two orbits.  As x tends to infinity, P(T)/t tends to a multiple
-    of A(T) = prod over the g with g(inf) != inf of (T - g(inf)), a
+    Read off two fibres of t.  As x tends to infinity, P(T)/t tends to a
+    multiple of A(T) = prod over the g with g(inf) != inf of (T - g(inf)), a
     polynomial over F_q of degree |G| - |G_inf|; so a_i = A_i/A_j, where j is
     the first i with A_i != 0.  At a point z outside G(inf) every c_i is
     finite and P specializes to c(T) = prod over g in G of (T - g(z)), so
     b_i = c_i(z) - a_i*c_j(z).  z is the first point of F_q, in encoding
-    order, outside G(inf), or else the first of F_{q^2} =
-    ``gf.extension_of(F_q, 2)``, over any F_q; one exists there because G(inf)
-    lies in P^1(F_q).  When the same field has a point z2 in a
-    third orbit, c(z2) is checked to lie on the family, and the
-    orbit-stabilizer identity |G(inf)|*|G_inf| = |G| is checked at infinity.
-    Each product costs O(|G|^2) operations in F_q or F_{q^2}; the b_i are
-    brought back to F_q.  The lines of the elements are checked by
-    :func:`_check_distinct_lines`.
+    order, outside G(inf).  When G(inf) is all of P^1(F_q) and G is the
+    nonsplit torus of order q+1 (see :func:`_torus_fibres`), c(T) is instead
+    the companion polynomial of an element of G, over F_q, with no root
+    taken.  Any other transitive G (PGL(2,q), A5, a transitive dihedral
+    group) takes z from F_{q^2} = ``gf.extension_of(F_q, 2)``, where one
+    exists because G(inf) lies in P^1(F_q), and the b_i are brought back to
+    F_q.  A third fibre, when there is one (a third orbit in the same field,
+    or the companion of a second torus element), is checked to lie on the
+    family, and the orbit-stabilizer identity |G(inf)|*|G_inf| = |G| is
+    checked at infinity.  Each orbit product costs O(|G|^2) operations in
+    F_q or F_{q^2}; a torus companion costs O(q).  The lines of the elements
+    are checked by :func:`_check_distinct_lines`.
     """
     _check_distinct_lines(G)
     ctx = G.ctx
@@ -331,19 +337,15 @@ def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
     j = next(i for i, a in enumerate(A) if a)
     scale = ctx.inv(A[j])
     a_vec = [ctx.mul(a, scale) for a in A] + [0] * (m - len(at_inf))
-    field = ctx
+    field, fibres = ctx, None
     if len(seen) == ctx.order:  # G(inf) is all of P^1(F_q)
-        field = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), ctx.order ** 2))
-    add, mul, inv = field.add, field.mul, field.inv
-    orbits = []
-    for z in range(field.order):  # encodings of F_q come first, and keep their value
-        if len(orbits) == 2:
-            break
-        if z not in seen:
-            images = [mul(add(mul(a, z), b), inv(add(mul(c, z), d))) for a, b, c, d in entries]
-            orbits.append(images)
-            seen.update(images)
-    c, *rest = (_expand_roots(field, images) for images in orbits)
+        if m == ctx.order + 1:
+            fibres = _torus_fibres(ctx, entries)
+        if fibres is None:
+            field = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), ctx.order ** 2))
+    if fibres is None:
+        fibres = _orbit_fibres(field, entries, seen)
+    c, *rest = fibres
     b_vec = field.addmul(c, field.neg(c[j]), a_vec)
     for c2 in rest:
         if field.addmul(b_vec, c2[j], a_vec) != c2:
@@ -351,6 +353,59 @@ def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
     family = tuple((ctx.decode(a), gf.down_cast(field.decode(b), ctx))
                    for a, b in zip(a_vec, b_vec))
     return family, j
+
+
+def _torus_fibres(ctx: gf.FieldCtx, entries: list) -> list | None:
+    """The encoded companion polynomials, divided by c, of the first two
+    non-identity keys (a, b, c, d) when G is the nonsplit torus of order
+    q+1, else None.
+
+    G is that torus when every non-identity g has c_g != 0 and all share
+    b_g/c_g and (d_g - a_g)/c_g: then every g is N + nu*I up to a scalar for
+    one matrix N = (0, b/c; 1, (d-a)/c), so G lies in F_q[N]*/F_q*, which
+    holds a group of order q+1 only when it is the torus F_{q^2}*/F_q*.
+    There each non-identity g fixes no point of P^1(F_q) and shares its two
+    fixed points in F_{q^2} with all of G, so the q+1 roots of
+    c*T^(q+1) + d*T^q - a*T - b, the z with g(z) = z^q, form one free
+    G-orbit, and the companion divided by c is the fibre prod over G of
+    (T - h(z)).  An O(|G|) test and O(q) work, all in F_q.
+    """
+    mul, inv, sub, neg = ctx.mul, ctx.inv, ctx.sub, ctx.neg
+    q = ctx.order
+    shapes, fibres = set(), []
+    for key in entries:
+        if key == mo.IDENTITY_KEY:
+            continue
+        a, b, c, d = key
+        if not c:
+            return None
+        inv_c = inv(c)
+        shapes.add((mul(b, inv_c), mul(sub(d, a), inv_c)))
+        if len(shapes) > 1:
+            return None
+        if len(fibres) < 2:
+            fibre = [0] * (q + 2)
+            fibre[0], fibre[1] = neg(mul(b, inv_c)), neg(mul(a, inv_c))
+            fibre[q], fibre[q + 1] = mul(d, inv_c), 1
+            fibres.append(fibre)
+    return fibres
+
+
+def _orbit_fibres(field: gf.FieldCtx, entries: list, seen: set) -> list:
+    """The encoded products of (T - g(z)) over G for the first two orbits
+    of points z of `field`, in encoding order, outside `seen` (G(inf)); the
+    encodings of F_q come first, and keep their value."""
+    add, mul, inv = field.add, field.mul, field.inv
+    seen = set(seen)
+    fibres = []
+    for z in range(field.order):
+        if len(fibres) == 2:
+            break
+        if z not in seen:
+            images = [mul(add(mul(a, z), b), inv(add(mul(c, z), d))) for a, b, c, d in entries]
+            fibres.append(_expand_roots(field, images))
+            seen.update(images)
+    return fibres
 
 
 def _expand_roots(field: gf.FieldCtx, roots: list) -> list:

@@ -4,11 +4,13 @@ The roots of this polynomial are exactly the points moved to their q-th power
 by s(x) = (ax+b)/(cx+d).  After the rational fixed points of s are stripped,
 every irreducible factor is the orbit polynomial of the cyclic group
 generated by s, specialized in its linear one-parameter family at some
-lambda in F_q.  That family is read off two orbits, the orbit of infinity
-and one more (see :func:`invariants.orbit_family`), without expanding the
-orbit polynomial over F_q(x).  The factors are found by sweeping lambda over
-F_q, using only F_q arithmetic, and the result is cross-checked against
-exact reconstruction of the input.
+lambda in F_q.  That family is read off two fibres of its parameter, the
+orbit of infinity and one more (see :func:`invariants.orbit_family`),
+without expanding the orbit polynomial over F_q(x).  The factors are found
+by sweeping lambda over F_q, using only F_q arithmetic (for s of order q+1
+the second fibre is a companion polynomial, so no extension field is
+built), and the result is cross-checked against exact reconstruction of
+the input.
 
 The family is also the invariant: the generator of the invariant field of
 G is f/g = -B/Ahat, read off the family (see
@@ -80,7 +82,8 @@ def family_member(ctx: gf.FieldCtx, family: tuple, lam: gf.FieldElem) -> upoly.P
     """F_lambda = sum of (a_i*lambda + b_i) T^i for the pairs (a_i, b_i) of
     an orbit-polynomial family: monic, and f - lambda*g for the invariant
     generator f/g of the group."""
-    return upoly.Poly(ctx, [a * lam + b for a, b in family])
+    ys = ctx.addmul([b.rep for _, b in family], ctx.elem(lam).rep, [a.rep for a, _ in family])
+    return upoly.Poly(ctx, list(map(ctx.decode, ys)))
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,15 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     orbit polynomial of <s> specialized at one of its roots, i.e. the member
     F_lambda of the linear one-parameter family at some lambda in F_q (the
     poles of the parameter are rational, so lambda is never infinite).  The
-    family comes from :func:`invariants.orbit_family` on the powers of s:
-    the orbit of infinity gives its slopes and one more orbit its
-    constants, checked at a third orbit when there is one.  The factors are
-    the F_lambda that divide the remainder, found by sweeping lambda over
-    F_q; a degree-r divisor of a squarefree product of degree-r
-    irreducibles is one of them.
+    family comes from :func:`invariants.orbit_family` on the powers of s,
+    in F_q arithmetic only: the orbit of infinity gives its slopes and one
+    more fibre its constants, checked at a third fibre when there is one.
+    The factors are the F_lambda that divide the remainder, found by
+    sweeping lambda over F_q; a degree-r divisor of a squarefree product of
+    degree-r irreducibles is one of them.  Once the remainder has degree r
+    it is the last factor, and its lambda is its coefficient at the
+    parameter index j (a_j = 1 and b_j = 0), checked by rebuilding
+    F_lambda; so a single factor, as for order q+1, tries no lambda.
     """
     if s.is_identity():
         raise IdentityInputError("companion of the identity is T^q - T; nothing structured")
@@ -154,20 +160,25 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     if work.deg % r:
         raise InvariantViolation("stripped degree is not a multiple of the order")
 
-    family, _ = inv.orbit_family(G)
+    family, j = inv.orbit_family(G)
     if len(family) != r + 1:
         raise InvariantViolation("orbit polynomial degree differs from the order")
     factors = []
     for lam in ctx.elements():
-        if work.deg == 0:
+        if work.deg <= r:
             break
         candidate = family_member(ctx, family, lam)
         quotient, rem = divmod(work, candidate)
         if not rem:
             work = quotient
             factors.append(FactorEntry(candidate, mo.ProjPoint(lam)))
-    if work.deg != 0:
-        raise InvariantViolation("the family does not exhaust the remainder")
+    if work.deg:
+        # the last factor is the remainder: a_j = 1 and b_j = 0, so its
+        # lambda is its coefficient at j
+        lam = work.coeffs[j]
+        if work.deg != r or family_member(ctx, family, lam) != work:
+            raise InvariantViolation("the family does not exhaust the remainder")
+        factors.append(FactorEntry(work, mo.ProjPoint(lam)))
     factors.sort(key=lambda e: e.poly.key())
 
     result = StructuredFactorization(ps, unit, tuple(removed), tuple(factors), r, family)

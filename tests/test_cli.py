@@ -25,7 +25,9 @@ def run_cli(capsys, *argv):
 # over F_13, F_16, F_17 with --lambda 5 and F_37, and over F_41, where
 # PGL(2,41) is past the group-order cap (exit 2); and orbits of the order-6
 # group <x+1, 1/x> on P^1(F_{2^13}), in the computed tier (--json), and of
-# the order-10 group <3x, -1/x> on P^1(F_121)
+# the order-10 group <3x, -1/x> on P^1(F_121); and factor over F_17 and
+# orbit-poly over F_19 of elements of order q+1, whose families are read off
+# a companion polynomial
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

@@ -49,10 +49,12 @@ LOGS = {
 COMPUTED = {
     "F257": lambda: gf.prime_field(257),
     "F289^2": lambda: gf.extension_of(gf.field_create(17, 2), 2),
+    "F2^13": lambda: gf.field_create(2, 13),
+    "F4^2^4": lambda: _tower_over_16(4),
 }
 FIELDS = {**TABULATED, **LOGS, **COMPUTED}
 EXTENSIONS = ["F169", "F256", "F4^2", "F289", "F343", "F512", "F625", "F4^5", "F3^7", "F289^2",
-              "F4^2^2", "F4^2^3"]
+              "F4^2^2", "F4^2^3", "F2^13", "F4^2^4"]
 
 
 def _sample(ctx, n=24, seed=0):
@@ -178,6 +180,27 @@ def test_log_tier_needs_no_digit_split(monkeypatch, name):
     g = upoly.Poly(ctx, xs[:4] + [one])
     q, r = divmod(f * g + g.derivative(), g)
     assert q == f and r == g.derivative()
+
+
+def _least_generator(p, order, mul):
+    """The least encoding of multiplicative order order - 1, found by
+    stepping through its powers from encoding 1.  A reference only."""
+    for g in range(1, order):
+        x, n = g, 1
+        while x != 1:
+            x, n = mul(x, g), n + 1
+        if n == order - 1:
+            return g
+
+
+@pytest.mark.parametrize("name", ["F169", "F256", "F4^2", "F289", "F512", "F4^5", "F4^2^3"])
+def test_primitive_element_search_skips_the_prime_field(monkeypatch, name):
+    ctx = FIELDS[name]()
+    add, _, _, mul, _, _ = gf._vector_ops(ctx.base, tuple(c.rep for c in ctx._mod))
+    arrays = gf._log_arrays(ctx.p, ctx.order, add, mul)
+    assert arrays[0][1] >= ctx.p  # no element of F_p generates the group
+    monkeypatch.setattr(gf, "_primitive_element", _least_generator)
+    assert gf._log_arrays(ctx.p, ctx.order, add, mul) == arrays
 
 
 def test_encoding_is_little_endian_over_the_base():

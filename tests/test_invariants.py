@@ -375,19 +375,23 @@ def test_orbit_family_matches_the_expansion(field, generators):
     _assert_matches_the_expansion(G)
 
 
-# the transitive elements need z from F_{q^2}; the others find z in F_q
+# the transitive groups that are not the nonsplit torus need z from F_{q^2};
+# the torus reads its constants off a companion polynomial, and the others
+# find z in F_q
 @pytest.mark.parametrize("field, text", [
     ((7, 1), "(3x-1)/(x+3)"),   # nonsplit of order q+1: transitive on P^1(F_7)
     ((2, 2), "(1)/(x+[0,1])"),  # nonsplit of order q+1 = 5 over F_4
     ((5, 1), "x+1"),            # unipotent: G(inf) = {inf}
     ((2, 1), "x+1"),
     ((3, 1), "(2x+1)/(x+1)"),   # two orbits of order (q+1)/2, one of them G(inf)
+    ((7, 1), "(3x-1)/(x+3) (1)/(x)"),  # dihedral of order 16, transitive
+    ((3, 1), "(-1)/(x) (x+1)/(x-1)"),  # Klein four, regular on P^1(F_3): not a torus
 ])
 def test_orbit_family_from_the_quadratic_extension(monkeypatch, field, text):
     ctx = gf.field_create(*field)
-    s = mo.parse_moebius(ctx, text)
-    G = go.Subgroup(s.ctx, s.powers())
+    G = go.generate(ctx, [mo.parse_moebius(ctx, gen) for gen in text.split()])
     transitive = len({g.apply(mo.INFINITY) for g in G}) == ctx.order + 1
+    torus = transitive and G.is_cyclic() and len(G) == ctx.order + 1
     built, extension_of = [], gf.extension_of
 
     def recording(base, k, cap=None):
@@ -396,8 +400,48 @@ def test_orbit_family_from_the_quadratic_extension(monkeypatch, field, text):
 
     monkeypatch.setattr(gf, "extension_of", recording)
     inv.orbit_family(G)
-    assert built == ([(ctx, 2)] if transitive else [])
+    assert built == ([(ctx, 2)] if transitive and not torus else [])
     _assert_matches_the_expansion(G)
+
+
+def _family_from_the_quadratic_extension(G):
+    """(family, param_index) with the constants read off the first two
+    orbits on F_{q^2} outside P^1(F_q), as orbit_family did for every
+    transitive group before the torus read them off a companion
+    polynomial.  A reference only."""
+    ctx = G.ctx
+    m = len(G)
+    entries = [s.key() for s in G.elements]
+    at_inf = [ctx.mul(a, ctx.inv(c)) for a, _, c, _ in entries if c]
+    A = inv._expand_roots(ctx, at_inf)
+    j = next(i for i, a in enumerate(A) if a)
+    a_vec = [ctx.mul(a, ctx.inv(A[j])) for a in A] + [0] * (m - len(at_inf))
+    F = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), ctx.order ** 2))
+    seen, fibres = set(range(ctx.order)), []
+    for z in range(ctx.order, F.order):
+        if len(fibres) == 2:
+            break
+        if z not in seen:
+            images = [mo.image(F, key, z) for key in entries]
+            fibres.append(inv._expand_roots(F, images))
+            seen.update(images)
+    c, c2 = fibres
+    b_vec = F.addmul(c, F.neg(c[j]), a_vec)
+    assert F.addmul(b_vec, c2[j], a_vec) == c2
+    return tuple((ctx.decode(a), ctx.decode(b)) for a, b in zip(a_vec, b_vec)), j
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                   (11, 1), (13, 1), (2, 4), (17, 1)])
+def test_torus_family_matches_the_quadratic_extension(field):
+    # every element of order q+1 generates one of these tori
+    ctx = gf.field_create(*field)
+    q = ctx.order
+    elements = (mo.Moebius.from_key(ctx, key) for key in go.pgl_keys(ctx))
+    tori = {go.Subgroup(ctx, s.powers()) for s in elements if s.order() == q + 1}
+    assert len(tori) == q * (q - 1) // 2
+    for G in tori:
+        assert inv.orbit_family(G) == _family_from_the_quadratic_extension(G)
 
 
 def test_orbit_family_of_groups_with_few_orbits(F3, F4, F5):
@@ -409,8 +453,7 @@ def test_orbit_family_of_groups_with_few_orbits(F3, F4, F5):
         ctx = gf.prime_field(p)
         groups.append(go.generate(ctx, [mo.parse_moebius(ctx, rotation),
                                         mo.parse_moebius(ctx, "(1)/(x)")]))
-    # over the tower F_4 -> F_16, a transitive group takes its second point
-    # from F_256 = extension_of(F_16, 2), a three-step tower
+    # over the tower F_4 -> F_16, a torus of order 17
     F16 = gf.extension_of(F4, 2)
     s = next(s for s in go.full_pgl(F16) if s.order() == 17)
     groups.append(go.Subgroup(s.ctx, s.powers()))

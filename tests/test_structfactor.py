@@ -139,6 +139,57 @@ def test_factor_by_orbit_sweep_matches_oracle(field, entries):
         assert entry.lam.value == entry.poly.coeffs[param_index]
 
 
+def _no_extension(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no extension field may be built")
+
+    monkeypatch.setattr(gf, "extend", forbidden)
+
+
+def test_factor_by_orbit_builds_no_extension_field(monkeypatch):
+    fields = [gf.field_create(p, m) for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                                 (2, 3), (3, 2), (11, 1))]
+    _no_extension(monkeypatch)
+    count = 0
+    for ctx in fields:
+        for key in go.pgl_keys(ctx):
+            s = mo.Moebius.from_key(ctx, key)
+            if not s.is_identity():
+                assert sf.factor_by_orbit(s).reconstruct() == sf.frobenius_companion(s)
+                count += 1
+    assert count == 3082
+
+
+@pytest.mark.parametrize("q", [7, 17, 19])
+def test_order_q_plus_one_needs_no_extension_field(monkeypatch, q):
+    ctx = gf.prime_field(q)
+    elements = (mo.Moebius.from_key(ctx, key) for key in go.pgl_keys(ctx))
+    chosen = [s for s in elements if s.order() == q + 1][:4]
+    _no_extension(monkeypatch)
+    for s in chosen:
+        res = sf.factor_by_orbit(s)
+        assert len(res.factors) == 1 and res.factors[0].poly == res.input.monic()
+        assert sf.lambda_family_report(s).total == q
+        P = inv.orbit_polynomial.__wrapped__(go.Subgroup(ctx, s.powers()))
+        assert P.family == res.family and len(P.coeffs) == q + 2
+
+
+@pytest.mark.parametrize("field, text", [((7, 1), "(3x-1)/(x+3)"), ((19, 1), "(-x-1)/(x-1)"),
+                                         ((17, 1), "(14x+13)/(6x+2)"), ((5, 1), "2x")])
+def test_factor_by_orbit_rejects_a_bent_family(monkeypatch, field, text):
+    ctx = gf.field_create(*field)
+    s = mo.parse_moebius(ctx, text)
+    family, j = inv.orbit_family(go.Subgroup(ctx, s.powers()))
+    # bend a constant b_i where a_i = 0: no member of the bent family is a
+    # member of the true one, so no factor can be found
+    i = next(i for i, (a, _) in enumerate(family) if not a)
+    bent = list(family)
+    bent[i] = (family[i][0], family[i][1] + ctx.one())
+    monkeypatch.setattr(inv, "orbit_family", lambda G: (tuple(bent), j))
+    with pytest.raises(InvariantViolation, match="does not exhaust"):
+        sf.factor_by_orbit(s)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_split_involution_vs_nonsplit_involution(p):
     # split: two rational fixed points -> stripped linears then quadratics
