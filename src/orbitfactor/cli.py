@@ -5,19 +5,19 @@ accepts --seed (default 0), but only `factor --oracle-check` reads it: it
 seeds the oracle's randomized splitting.  Output is a human-readable
 report, or a stable JSON document with --json.  Exit codes: 0 success,
 1 usage error, 2 for any domain error or failed invariant.
+
+Each command imports the modules it runs when it runs, and `json` only
+for --json: a process loads only those, so `classes` never loads `verify`
+or `structfactor`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
-from . import classes as cl
-from . import gf, grouporbit as go, invariants as inv, moebius as mo
-from . import structfactor as sf
-from . import upoly, verify
+from . import gf, moebius as mo
 from .errors import AlgebraError, CtxMismatchError, UsageError
 
 SCHEMA = "orbitfactor/1"
@@ -89,14 +89,12 @@ def build_parser() -> _Parser:
 
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
+        import json
+
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
-
-
-def _poly_doc(f: upoly.Poly) -> str:
-    return upoly.format_poly(f)
 
 
 def _parsed(parse, ctx: gf.FieldCtx, text: str):
@@ -114,6 +112,8 @@ def _require_positive(flag: str, value: int) -> None:
 
 
 def _cmd_factor(args) -> int:
+    from . import invariants as inv, structfactor as sf, upoly
+
     _require_positive("--k", args.k)
     ctx = gf.field_create(args.p, args.m)
     raw, s = _parsed(mo.parse_moebius_raw, ctx, args.s)
@@ -125,7 +125,7 @@ def _cmd_factor(args) -> int:
         raise AlgebraError("raw companion is not proportional to the normalized one")
     unit = input_poly.lc()
     structured = res.inner
-    lines = [f"input: {_poly_doc(input_poly)}",
+    lines = [f"input: {upoly.format_poly(input_poly)}",
              f"unit: {gf.format_elem(unit)}",
              f"order of s: {structured.degree_r}"]
     doc = {
@@ -134,7 +134,7 @@ def _cmd_factor(args) -> int:
         "q": ctx.order,
         "k": args.k,
         "s": mo.format_moebius(s),
-        "input": _poly_doc(input_poly),
+        "input": upoly.format_poly(input_poly),
         "unit": gf.format_elem(unit),
         "degree": structured.degree_r,
         "factors": [],
@@ -145,21 +145,21 @@ def _cmd_factor(args) -> int:
         if structured.removed_linear:
             lines.append("removed linear factors:")
             for lin in structured.removed_linear:
-                lines.append(f"  {_poly_doc(lin)}")
-                doc["factors"].append({"factor": _poly_doc(lin), "lambda": None,
+                lines.append(f"  {upoly.format_poly(lin)}")
+                doc["factors"].append({"factor": upoly.format_poly(lin), "lambda": None,
                                        "minimal_check": True})
         lines.append("factors (factor, lambda):")
         for entry in structured.factors:
-            lines.append(f"  {_poly_doc(entry.poly)}   lambda = {entry.lam}")
-            doc["factors"].append({"factor": _poly_doc(entry.poly),
+            lines.append(f"  {upoly.format_poly(entry.poly)}   lambda = {entry.lam}")
+            doc["factors"].append({"factor": upoly.format_poly(entry.poly),
                                    "lambda": str(entry.lam),
                                    "minimal_check": True})
         lines.append(f"family: {inv.family_text(structured.family)}")
     else:
         lines.append("factors over the ground field:")
         for factor in res.factors:
-            lines.append(f"  {_poly_doc(factor)}")
-            doc["factors"].append({"factor": _poly_doc(factor), "lambda": None,
+            lines.append(f"  {upoly.format_poly(factor)}")
+            doc["factors"].append({"factor": upoly.format_poly(factor), "lambda": None,
                                    "minimal_check": True})
     if args.oracle_check:
         oracle = upoly.factorize(input_poly, args.seed)
@@ -176,6 +176,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_orbit_poly(args) -> int:
+    from . import grouporbit as go, invariants as inv
+
     ctx = gf.field_create(args.p, args.m)
     gens = [_parsed(mo.parse_moebius, ctx, text) for text in args.gens]
     G = go.generate(ctx, gens)
@@ -197,6 +199,8 @@ def _cmd_orbit_poly(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    from . import grouporbit as go, invariants as inv, upoly
+
     ctx = gf.field_create(args.p, args.m)
     if args.pgl:
         phi = inv.pgl_generator(ctx)
@@ -218,6 +222,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    from . import grouporbit as go
+
     _require_positive("--ext", args.ext)
     ctx = gf.field_create(args.p, args.m)
     G = go.generate(ctx, [_parsed(mo.parse_moebius, ctx, t) for t in args.gens])
@@ -242,6 +248,8 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_classes(args) -> int:
+    from . import classes as cl
+
     ctx = gf.field_create(args.p, args.m)
     labels = cl.conjugacy_classes(ctx)
     doc = {"schema": SCHEMA, "command": "classes", "q": ctx.order,
@@ -273,6 +281,8 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_lambda_report(args) -> int:
+    from . import structfactor as sf
+
     ctx = gf.field_create(args.p, args.m)
     s = _parsed(mo.parse_moebius, ctx, args.s)
     report = sf.lambda_family_report(s)
@@ -292,6 +302,8 @@ def _cmd_lambda_report(args) -> int:
 
 
 def _cmd_lang(args) -> int:
+    from . import classes as cl
+
     ctx = gf.field_create(args.p, args.m)
     s = _parsed(mo.parse_moebius, ctx, args.s)
     sol = cl.lang_solve(s)
@@ -310,6 +322,8 @@ def _cmd_lang(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     _require_positive("--m", args.m)
     results = verify.run_suite(args.suite, None if args.p is None else args.p ** args.m)
     lines = []

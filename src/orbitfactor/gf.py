@@ -673,6 +673,8 @@ def extend(base: FieldCtx, h, cap: Optional[int] = None) -> FieldCtx:
     """base[y]/(h) for h monic irreducible over base; degree 1 returns base.
 
     Memoized on h (which carries its base field): one context per modulus.
+    h is tested for irreducibility unless it is the modulus that
+    :func:`least_irreducible` has already proved irreducible.
     """
     from . import upoly
 
@@ -687,7 +689,7 @@ def extend(base: FieldCtx, h, cap: Optional[int] = None) -> FieldCtx:
     if ctx is None:
         if not h.is_monic():
             raise NotIrreducibleError("modulus must be monic")
-        if not upoly.is_irreducible(h):
+        if h is not base._irr_cache.get(h.deg) and not upoly.is_irreducible(h):
             raise NotIrreducibleError(f"modulus {h} is reducible over {base}")
         ctx = FieldCtx(base.p, base, tuple(h.coeffs))
         _remember(_extend_cache, h, ctx)

@@ -283,10 +283,11 @@ def orbit_polynomial(G: go.Subgroup) -> OrbitPolynomial:
 def _check_distinct_lines(G: go.Subgroup) -> None:
     """Pairwise non-proportional numerators ax+b and denominators cx+d for
     cyclic G of order r > 2 dividing q+1 (a fixed-point-freeness
-    consequence)."""
+    consequence).  Cyclicity, which costs element orders, is asked only
+    when a line repeats."""
     ctx = G.ctx
     m = len(G)
-    if m <= 2 or (ctx.order + 1) % m or not G.is_cyclic():
+    if m <= 2 or (ctx.order + 1) % m:
         return
 
     def monic(u: int, v: int) -> tuple:
@@ -296,7 +297,7 @@ def _check_distinct_lines(G: go.Subgroup) -> None:
     keys = [s.key() for s in G.elements]
     numerators = {monic(a, b) for a, b, _, _ in keys}
     denominators = {monic(c, d) for _, _, c, d in keys}
-    if len(numerators) < m or len(denominators) < m:
+    if (len(numerators) < m or len(denominators) < m) and G.is_cyclic():
         raise InvariantViolation("proportional numerator or denominator lines "
                                  "in a fixed-point-free cyclic group")
 

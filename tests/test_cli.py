@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import orbitfactor
 from orbitfactor import classes as cl, cli, gf, verify
 
 
@@ -237,3 +241,68 @@ def test_verify_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] == doc["total"] > 0
+
+
+def run_python(code, *argv):
+    """The JSON document on the last stdout line of `python -c code argv` in a
+    fresh interpreter that imports this package from the tree under test."""
+    src = str(Path(orbitfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# runs `python -m orbitfactor.cli argv` and reports its exit code and the
+# package modules it loaded
+CLI_MODULES = """
+import json, runpy, sys
+try:
+    runpy.run_module("orbitfactor.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m.split(".")[1] for m in sys.modules
+                               if m.startswith("orbitfactor."))]))
+"""
+
+
+# command -> (modules it must load, modules it must not load)
+LOADS = {
+    "classes --p 3 --m 1": ({"classes"}, {"verify", "structfactor", "invariants"}),
+    "orbits --p 3 --m 1 --gens x+1": ({"grouporbit"},
+                                      {"verify", "structfactor", "invariants", "classes"}),
+    "factor --p 19 --m 1 --s (-x-1)/(x-1)": ({"structfactor"}, {"verify", "classes"}),
+    "verify --suite lemmas --p 3": ({"verify", "classes", "structfactor"}, set()),
+}
+
+
+@pytest.mark.parametrize("command", LOADS)
+def test_command_loads_only_the_modules_it_runs(command):
+    loaded, absent = LOADS[command]
+    code, modules = run_python(CLI_MODULES, *command.split())
+    assert code == 0
+    assert loaded <= set(modules) and not absent & set(modules)
+
+
+def test_submodules_load_on_first_use():
+    before, bound = run_python(
+        "import json, sys, orbitfactor\n"
+        "before = sorted(m for m in sys.modules if m.startswith('orbitfactor.'))\n"
+        "bound = {n: type(getattr(orbitfactor, n)).__name__ for n in orbitfactor.__all__}\n"
+        "print(json.dumps([before, bound]))")
+    assert before == ["orbitfactor.errors"]
+    assert bound == {name: "type" if name == "AlgebraError" else "module"
+                     for name in orbitfactor.__all__}
+    with pytest.raises(AttributeError):
+        orbitfactor.no_such_module
+
+
+def test_star_import_binds_every_public_name():
+    same = run_python(
+        "import json\n"
+        "from orbitfactor import *\n"
+        "import orbitfactor\n"
+        "print(json.dumps({n: globals()[n] is getattr(orbitfactor, n) "
+        "for n in orbitfactor.__all__}))")
+    assert same == {name: True for name in orbitfactor.__all__}

@@ -72,6 +72,27 @@ def test_extend_rejects_reducible(F5):
         gf.extend(F5, upoly.Poly.from_ints(F5, [-1, 0, 1]))  # y^2 - 1
 
 
+def test_extension_of_tests_its_modulus_once(monkeypatch):
+    # least_irreducible proves the modulus irreducible, and extend does not
+    # test it again; a modulus the caller supplies is still tested
+    monkeypatch.setattr(gf, "_extend_cache", {})
+    base = gf.FieldCtx(5, None, None)  # an F_5 with no irreducible found yet
+    tested, is_irreducible = [], upoly.is_irreducible
+
+    def recording(f):
+        tested.append(f)
+        return is_irreducible(f)
+
+    monkeypatch.setattr(upoly, "is_irreducible", recording)
+    assert gf.extension_of(base, 3).order == 125
+    h = gf.least_irreducible(base, 3)
+    assert tested[-1] == h and len(tested) == len(set(tested))
+    other = next(f for f in upoly.monic_irreducibles(base, 3) if f != h)
+    tested.clear()
+    gf.extend(base, other)
+    assert tested == [other]
+
+
 def test_extend_over_a_two_step_tower(F9):
     F81 = gf.extension_of(F9, 2)
     h = gf.least_irreducible(F81, 2)

@@ -493,6 +493,27 @@ def test_line_check_raises_exactly_on_proportional_lines(F7):
     assert raised and kept
 
 
+def test_line_check_asks_cyclicity_only_when_a_line_repeats(F7, monkeypatch):
+    cyclic_calls, is_cyclic = [], go.Subgroup.is_cyclic
+
+    def recording(G):
+        cyclic_calls.append(len(G))
+        return is_cyclic(G)
+
+    monkeypatch.setattr(go.Subgroup, "is_cyclic", recording)
+    # the torus <(3x-1)/(x+3)> of order q+1 = 8: its lines are distinct
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+    inv._check_distinct_lines(go.Subgroup(F7, s.powers()))
+    assert cyclic_calls == []
+    # a Klein four-group over F_3 (4 divides q+1): x and -x share the
+    # numerator line, but G is not cyclic, so nothing is raised
+    F3 = gf.prime_field(3)
+    G = go.generate(F3, [mo.parse_moebius(F3, t) for t in ("-x", "(1)/(x)")])
+    assert len(G) == 4 and _lines_collide_pairwise(G)
+    inv._check_distinct_lines(G)
+    assert cyclic_calls == [4]
+
+
 def test_orbit_family_checks_a_third_orbit(monkeypatch):
     # <3x> over F_13 has order 3 and fixes infinity: the fixed point 0 gives
     # the constants, and the orbit of 1 is a third orbit
