@@ -27,7 +27,7 @@ All values are immutable.
 
 from __future__ import annotations
 
-import itertools
+import math
 import os
 from typing import Iterator, Optional, Sequence, Union
 
@@ -169,10 +169,6 @@ class FieldCtx:
         if self.base is None:
             return 1
         return self.base.tower_degree() * self.degree
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.base is None
 
     @property
     def modulus(self):
@@ -359,9 +355,10 @@ def _number(digits: Sequence[int], b: int) -> int:
     return x
 
 
-def _power(mul, x: int, e: int) -> int:
-    """x^e by square-and-multiply with the given multiplication."""
-    result = 1
+def _power(mul, x, e: int, one=1):
+    """x^e by square-and-multiply with the given multiplication and unit;
+    by default x is an encoding and the unit is 1."""
+    result = one
     while e:
         if e & 1:
             result = mul(result, x)
@@ -704,26 +701,14 @@ def extension_of(ctx: FieldCtx, k: int, cap: Optional[int] = None) -> FieldCtx:
 
 
 def least_irreducible(ctx: FieldCtx, d: int):
-    """Lexicographically least monic irreducible of degree d over ctx."""
-    from . import upoly
+    """Lexicographically least monic irreducible of degree d over ctx: the
+    first of :func:`upoly.monic_irreducibles`, kept on the context."""
+    poly = ctx._irr_cache.get(d)
+    if poly is None:
+        from . import upoly
 
-    cached = ctx._irr_cache.get(d)
-    if cached is not None:
-        return cached
-    if d == 1:
-        poly = upoly.Poly(ctx, (ctx.zero(), ctx.one()))
-        ctx._irr_cache[d] = poly
-        return poly
-    one = ctx.one()
-    # the constant term varies slowest; starting it at 1 skips only multiples of T
-    q = ctx.order
-    for tail in itertools.product(range(1, q), *[range(q)] * (d - 1)):
-        coeffs = tuple(ctx.decode(c) for c in tail) + (one,)
-        poly = upoly.Poly(ctx, coeffs)
-        if upoly.is_irreducible(poly):
-            ctx._irr_cache[d] = poly
-            return poly
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+        poly = ctx._irr_cache[d] = next(upoly.monic_irreducibles(ctx, d))
+    return poly
 
 
 # -- tower navigation ----------------------------------------------------------
@@ -803,9 +788,9 @@ def minimal_poly(alpha: FieldElem, over: FieldCtx):
     while current != alpha:
         conjugates.append(current)
         current = current ** q
-    prod = upoly.Poly.one(alpha.ctx)
-    for c in conjugates:
-        prod = prod * upoly.Poly(alpha.ctx, (-c, alpha.ctx.one()))
+    one = alpha.ctx.one()
+    prod = math.prod((upoly.Poly(alpha.ctx, (-c, one)) for c in conjugates),
+                     start=upoly.Poly.constant(one))
     coeffs = tuple(down_cast(c, over) for c in prod.coeffs)
     return upoly.Poly(over, coeffs)
 

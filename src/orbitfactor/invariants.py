@@ -215,21 +215,26 @@ class OrbitPolynomial:
         return self.coeffs[self.param_index]
 
     def specialize(self, alpha: gf.FieldElem) -> upoly.Poly:
-        """Replace x by alpha; the result is the product over s in G of
-        (T - s(alpha)), with stabilizer-order multiplicities."""
-        target = alpha.ctx
-        if not gf.is_subctx(self.group.ctx, target):
-            raise CtxMismatchError("alpha must lie over the group's field")
-        out = []
-        for coeff in self.coeffs:
-            den_val = coeff.den(alpha)
-            if not den_val:
-                raise PoleError(f"coefficient denominator vanishes at {alpha}")
-            out.append(coeff.num(alpha) / den_val)
-        return upoly.Poly(target, out)
+        """Replace x by alpha, a point of F_q or an extension: the family
+        member at lambda = t(alpha) over the field of alpha, which is the
+        product over s in G of (T - s(alpha)), with stabilizer-order
+        multiplicities.  Raises PoleError where t(alpha) is infinite."""
+        lam = self.parameter.eval_point(mo.ProjPoint(alpha)).value
+        if lam is None:
+            raise PoleError(f"the parameter has a pole at {alpha}")
+        return family_member(alpha.ctx, self.family, lam)
 
     def family_text(self) -> str:
         return family_text(self.family)
+
+
+def family_member(ctx: gf.FieldCtx, family: tuple, lam: gf.FieldElem) -> upoly.Poly:
+    """F_lambda = sum of (a_i*lambda + b_i) T^i over ctx for the pairs
+    (a_i, b_i) of an orbit-polynomial family, which keep their encodings in
+    ctx: monic, and f - lambda*g for the invariant generator f/g of the
+    group."""
+    ys = ctx.addmul([b.rep for _, b in family], ctx.elem(lam).rep, [a.rep for a, _ in family])
+    return upoly.Poly(ctx, list(map(ctx.decode, ys)))
 
 
 def family_text(family: tuple) -> str:
@@ -436,9 +441,10 @@ def invariant_generator(G: go.Subgroup) -> RatFunc:
     return phi
 
 
-def pgl_generator(ctx: gf.FieldCtx, validate: bool = True) -> RatFunc:
+def pgl_generator(ctx: gf.FieldCtx) -> RatFunc:
     """The closed-form invariant generator of the full group PGL(2,q):
-    (1 + (x^q - x)^(q-1))^(q+1) / (x^q - x)^(q^2 - q)."""
+    (1 + (x^q - x)^(q-1))^(q+1) / (x^q - x)^(q^2 - q), always checked for
+    its degree and for invariance under x + 1, 1/x and alpha*x."""
     q = ctx.order
     u = upoly.Poly.x_pow(ctx, q) - upoly.Poly.x(ctx)
     w = u.pow(q - 1)
@@ -447,22 +453,21 @@ def pgl_generator(ctx: gf.FieldCtx, validate: bool = True) -> RatFunc:
     phi = RatFunc(num, den)
     if phi.degree != q ** 3 - q:
         raise InvariantViolation("closed-form generator has the wrong degree")
-    if validate:
-        samples = [mo.Moebius.from_ints(ctx, 1, 1, 0, 1),
-                   mo.Moebius.from_ints(ctx, 0, 1, 1, 0)]
-        if q > 2:
-            alpha = next(v for v in ctx.elements() if v and v != ctx.one())
-            samples.append(mo.Moebius(alpha, ctx.zero(), ctx.zero(), ctx.one()))
-        if phi.degree <= 130:
-            for s in samples:
-                if phi.compose_moebius(s) != phi:
+    samples = [mo.Moebius.from_ints(ctx, 1, 1, 0, 1),
+               mo.Moebius.from_ints(ctx, 0, 1, 1, 0)]
+    if q > 2:
+        alpha = next(v for v in ctx.elements() if v and v != ctx.one())
+        samples.append(mo.Moebius(alpha, ctx.zero(), ctx.zero(), ctx.one()))
+    if phi.degree <= 130:
+        for s in samples:
+            if phi.compose_moebius(s) != phi:
+                raise InvariantViolation("closed-form generator is not invariant")
+    else:
+        # symbolic composition is quadratic in the degree; spot-check values
+        ext = gf.extension_of(ctx, 2)
+        points = [mo.ProjPoint(v) for v in list(ext.elements())[: 3 * q]]
+        for s in samples:
+            for z in points:
+                if phi.eval_point(s.apply(z)) != phi.eval_point(z):
                     raise InvariantViolation("closed-form generator is not invariant")
-        else:
-            # symbolic composition is quadratic in the degree; spot-check values
-            ext = gf.extension_of(ctx, 2)
-            points = [mo.ProjPoint(v) for v in list(ext.elements())[: 3 * q]]
-            for s in samples:
-                for z in points:
-                    if phi.eval_point(s.apply(z)) != phi.eval_point(z):
-                        raise InvariantViolation("closed-form generator is not invariant")
     return phi

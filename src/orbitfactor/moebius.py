@@ -27,10 +27,6 @@ class ProjPoint:
     def __init__(self, value: Optional[gf.FieldElem]):
         self.value = value
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
@@ -52,10 +48,6 @@ class ProjPoint:
 
 
 INFINITY = ProjPoint(None)
-
-
-def point(value: gf.FieldElem) -> ProjPoint:
-    return ProjPoint(value)
 
 
 def projective_line(ctx: gf.FieldCtx) -> list[ProjPoint]:
@@ -223,15 +215,7 @@ class Moebius:
     def power(self, n: int) -> "Moebius":
         if n < 0:
             return self.inverse().power(-n)
-        out = Moebius.identity(self.ctx)
-        sq = self
-        while n:
-            if n & 1:
-                out = out * sq
-            n >>= 1
-            if n:
-                sq = sq * sq
-        return out
+        return gf._power(Moebius.compose, self, n, Moebius.identity(self.ctx))
 
     def order(self) -> int:
         """Least n >= 1 with s^n = identity (at most q+1), from the matrix.

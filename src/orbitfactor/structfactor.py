@@ -15,16 +15,17 @@ the input.
 The family is also the invariant: the generator of the invariant field of
 G is f/g = -B/Ahat, read off the family (see
 :func:`invariants.invariant_generator`), so every f - lambda*g is the family
-member F_lambda = sum of (a_i*lambda + b_i) T^i, and :func:`family_member`
-is the one place it is built.  For s of order exactly q+1, every F_lambda
-is, up to a unit, the companion polynomial of one element s + nu of <s>
-(the matrix of s plus nu times the identity), so
-:func:`lambda_family_report` reads each factor degree off that element's
-order.
+member F_lambda = sum of (a_i*lambda + b_i) T^i, and
+:func:`invariants.family_member` is the one place it is built.  For s of
+order exactly q+1, every F_lambda is, up to a unit, the companion
+polynomial of one element s + nu of <s> (the matrix of s plus nu times the
+identity), so :func:`lambda_family_report` reads each factor degree off
+that element's order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,14 +79,6 @@ def frobenius_element(G: go.Subgroup, h: upoly.Poly) -> mo.Moebius:
     raise InvariantViolation("no group element moves a root of h to its q-th power")
 
 
-def family_member(ctx: gf.FieldCtx, family: tuple, lam: gf.FieldElem) -> upoly.Poly:
-    """F_lambda = sum of (a_i*lambda + b_i) T^i for the pairs (a_i, b_i) of
-    an orbit-polynomial family: monic, and f - lambda*g for the invariant
-    generator f/g of the group."""
-    ys = ctx.addmul([b.rep for _, b in family], ctx.elem(lam).rep, [a.rep for a, _ in family])
-    return upoly.Poly(ctx, list(map(ctx.decode, ys)))
-
-
 @dataclass(frozen=True)
 class FactorEntry:
     poly: upoly.Poly          # monic irreducible over F_q
@@ -102,12 +95,8 @@ class StructuredFactorization:
     family: tuple[tuple[gf.FieldElem, gf.FieldElem], ...]  # (a_i, b_i) of <s>
 
     def reconstruct(self) -> upoly.Poly:
-        out = upoly.Poly.constant(self.unit)
-        for lin in self.removed_linear:
-            out = out * lin
-        for entry in self.factors:
-            out = out * entry.poly
-        return out
+        return math.prod(self.removed_linear + self.monic_factors(),
+                         start=upoly.Poly.constant(self.unit))
 
     def monic_factors(self) -> tuple[upoly.Poly, ...]:
         return tuple(entry.poly for entry in self.factors)
@@ -167,7 +156,7 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     for lam in ctx.elements():
         if work.deg <= r:
             break
-        candidate = family_member(ctx, family, lam)
+        candidate = inv.family_member(ctx, family, lam)
         quotient, rem = divmod(work, candidate)
         if not rem:
             work = quotient
@@ -176,7 +165,7 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
         # the last factor is the remainder: a_j = 1 and b_j = 0, so its
         # lambda is its coefficient at j
         lam = work.coeffs[j]
-        if work.deg != r or family_member(ctx, family, lam) != work:
+        if work.deg != r or inv.family_member(ctx, family, lam) != work:
             raise InvariantViolation("the family does not exhaust the remainder")
         factors.append(FactorEntry(work, mo.ProjPoint(lam)))
     factors.sort(key=lambda e: e.poly.key())
@@ -247,7 +236,7 @@ def lambda_family_report(s: mo.Moebius) -> LambdaFamilyReport:
     seen = set()
     counts: dict[int, int] = {}
     for lam in ctx.elements():
-        h = family_member(ctx, family, lam)
+        h = inv.family_member(ctx, family, lam)
         nu = ctx.sub(ctx.mul(c, h.coeffs[q].rep), d)
         w = mo.Moebius.from_key(ctx, (ctx.add(a, nu), b, c, ctx.add(d, nu)))
         if w.is_identity() or w not in G or w in seen:
@@ -298,7 +287,7 @@ def factor_f_lambda(G: go.Subgroup, lam: gf.FieldElem) -> SpecializationFactors:
     ctx = G.ctx
     if len(G) < 2:
         raise TrivialGroupError("the trivial group fixes everything")
-    target = family_member(ctx, inv.orbit_polynomial(G).family, lam)
+    target = inv.family_member(ctx, inv.orbit_polynomial(G).family, lam)
     fac = upoly.factorize(target)
     degrees = {poly.deg for poly, _ in fac.factors}
     mults = {mult for _, mult in fac.factors}
@@ -327,14 +316,11 @@ def all_cubics_product(ctx: gf.FieldCtx) -> upoly.Poly:
     value = phi.eval_point(mo.ProjPoint(alpha))
     if value.value is None:
         raise InvariantViolation("phi has a pole at a degree-3 element")
-    target = family_member(ctx, inv.orbit_polynomial(G).family,
-                           gf.down_cast(value.value, ctx))
-    product = upoly.Poly.one(ctx)
-    count = 0
-    for cubic in upoly.monic_irreducibles(ctx, 3):
-        product = product * cubic
-        count += 1
-    if count != (ctx.order ** 3 - ctx.order) // 3:
+    target = inv.family_member(ctx, inv.orbit_polynomial(G).family,
+                               gf.down_cast(value.value, ctx))
+    cubics = list(upoly.monic_irreducibles(ctx, 3))
+    product = math.prod(cubics, start=upoly.Poly.one(ctx))
+    if len(cubics) != (ctx.order ** 3 - ctx.order) // 3:
         raise InvariantViolation("wrong number of monic irreducible cubics")
     if target != product:
         raise InvariantViolation("specialization is not the product of all cubics")
@@ -354,10 +340,7 @@ class GeneralKFactorization:
     unit: gf.FieldElem
 
     def reconstruct(self) -> upoly.Poly:
-        out = upoly.Poly.constant(self.unit)
-        for factor in self.factors:
-            out = out * factor
-        return out
+        return math.prod(self.factors, start=upoly.Poly.constant(self.unit))
 
 
 def factor_general_k(s: mo.Moebius, k: int) -> GeneralKFactorization:
@@ -399,11 +382,9 @@ def factor_general_k(s: mo.Moebius, k: int) -> GeneralKFactorization:
                 raise InvariantViolation("Frobenius conjugate is missing from the factors")
             orbit.append(nxt)
             nxt = frob_poly(nxt)
-        prod = upoly.Poly.one(ground)
         for member in orbit:
             pending_set.pop(member)
-            prod = prod * member
-        merged.append(descend(prod))
+        merged.append(descend(math.prod(orbit, start=upoly.Poly.one(ground))))
     for factor in merged:
         if not upoly.is_irreducible(factor):
             raise InvariantViolation("merged factor is reducible over the ground field")

@@ -9,6 +9,7 @@ polynomial and a caller seed, so runs are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -217,34 +218,23 @@ class Poly:
             if self.deg >= 1 else Poly.zero(ctx)
 
     def __call__(self, x: gf.FieldElem) -> gf.FieldElem:
-        """Evaluate by Horner; x may live in an extension of the base."""
-        target = x.ctx
-        if target == self.ctx:
-            acc = target.zero()
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        if not gf.is_subctx(self.ctx, target):
-            raise CtxMismatchError(f"cannot evaluate {self.ctx} polynomial at {target} point")
-        acc = target.zero()
+        """Evaluate by Horner on encodings in the field F of x, which may be
+        an extension of the base: a coefficient keeps its encoding in F."""
+        F = x.ctx
+        if F is not self.ctx and not gf.is_subctx(self.ctx, F):
+            raise CtxMismatchError(f"cannot evaluate {self.ctx} polynomial at {F} point")
+        add, mul, v = F.add, F.mul, x.rep
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + gf.embed(c, target)
-        return acc
+            acc = add(mul(acc, v), c.rep)
+        return F.decode(acc)
 
     def map_ctx(self, target: gf.FieldCtx) -> "Poly":
         """Coefficient-wise embedding into an extension field."""
         return Poly(target, tuple(gf.embed(c, target) for c in self.coeffs))
 
     def pow(self, e: int) -> "Poly":
-        result = Poly.one(self.ctx)
-        square = self
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        return gf._power(Poly.__mul__, self, e, Poly.one(self.ctx))
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -259,15 +249,7 @@ def powmod(f: Poly, e: int, mod: Poly) -> Poly:
     """f^e modulo mod by square-and-multiply."""
     if not mod:
         raise ZeroDivisionError("powmod with zero modulus")
-    result = Poly.one(f.ctx)
-    square = f % mod
-    while e:
-        if e & 1:
-            result = (result * square) % mod
-        e >>= 1
-        if e:
-            square = (square * square) % mod
-    return result
+    return gf._power(lambda g, h: g * h % mod, f % mod, e, Poly.one(f.ctx))
 
 
 # -- irreducibility --------------------------------------------------------------
@@ -304,10 +286,8 @@ class Factorization:
     factors: tuple[tuple[Poly, int], ...]
 
     def value(self) -> Poly:
-        out = Poly.constant(self.unit)
-        for poly, mult in self.factors:
-            out = out * poly.pow(mult)
-        return out
+        return math.prod((poly.pow(mult) for poly, mult in self.factors),
+                         start=Poly.constant(self.unit))
 
     def as_multiset(self) -> tuple:
         return tuple((p.key(), m) for p, m in self.factors)
@@ -489,18 +469,19 @@ def roots_in(f: Poly, ext: gf.FieldCtx) -> tuple[gf.FieldElem, ...]:
     if linear_part.deg < 1:
         return ()
     linears = _equal_degree(linear_part, 1, random.Random(_seed_key(linear_part, 0)))
-    product = Poly.one(ext)
-    for factor in linears:
-        product = product * factor
-    if product != linear_part:
+    if math.prod(linears, start=Poly.one(ext)) != linear_part:
         raise InvariantViolation("linear factors do not reproduce gcd(f, T^Q - T)")
     return tuple(sorted((-factor.coeffs[0] for factor in linears), key=lambda r: r.encode()))
 
 
 def monic_irreducibles(ctx: gf.FieldCtx, d: int) -> Iterator[Poly]:
-    """All monic irreducibles of degree d over ctx, in lexicographic order."""
+    """All monic irreducibles of degree d over ctx, in lexicographic order of
+    the coefficients with the constant term most significant."""
     one = ctx.one()
-    for tail in itertools.product(range(ctx.order), repeat=d):
+    tails = [range(ctx.order)] * d
+    if d > 1:  # a zero constant term makes a multiple of T
+        tails[0] = range(1, ctx.order)
+    for tail in itertools.product(*tails):
         poly = Poly(ctx, tuple(ctx.decode(c) for c in tail) + (one,))
         if is_irreducible(poly):
             yield poly

@@ -339,8 +339,7 @@ def _ex_lang() -> str:
         for s in go.full_pgl(ctx).elements:
             sol = cl.lang_solve(s)
             _expect(sol.finite_count in (q, q + 1), "bad solution count")
-            sigma_t = mo.Moebius(*(e ** q for e in sol.t.entries()))
-            _expect(sigma_t.inverse().compose(sol.t) == s.lift_to(sol.ext),
+            _expect(cl._sigma_moebius(sol.t, q).inverse().compose(sol.t) == s.lift_to(sol.ext),
                     "s differs from sigma(t)^(-1) t")
             t_inv = sol.t.inverse()
             image = {t_inv.apply(mo.ProjPoint(gf.embed(v, sol.ext))) for v in ctx.elements()}
@@ -498,7 +497,6 @@ def _lm_lang_conjugation() -> str:
         s_ext = s.lift_to(ext)
         for g in G.elements:
             h = t_inv.compose(g.lift_to(ext)).compose(sol.t)
-            sigma_h = mo.Moebius(*(e ** q for e in h.entries()))
-            _expect(sigma_h == s_ext.compose(h).compose(s_ext.inverse()),
+            _expect(cl._sigma_moebius(h, q) == s_ext.compose(h).compose(s_ext.inverse()),
                     "conjugation does not twist by s as required")
     return "sigma acts on t^(-1) PGL(2,q) t by conjugation with s"

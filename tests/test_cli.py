@@ -31,7 +31,9 @@ def run_cli(capsys, *argv):
 # group <x+1, 1/x> on P^1(F_{2^13}), in the computed tier (--json), and of
 # the order-10 group <3x, -1/x> on P^1(F_121); and factor over F_17 and
 # orbit-poly over F_19 of elements of order q+1, whose families are read off
-# a companion polynomial
+# a companion polynomial; and the README's classes over F_3 and over F_4 with
+# --lambda [0,0], and invariant --pgl over F_3 and over F_7 (degree 336,
+# where pgl_generator checks invariance at points instead of by composition)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

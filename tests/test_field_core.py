@@ -67,6 +67,28 @@ def _as_poly(x):
     return upoly.Poly(x.ctx.base, x.coeffs())
 
 
+def _horner_on_elements(f, x):
+    acc = x.ctx.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * x + gf.embed(c, x.ctx)
+    return acc
+
+
+@pytest.mark.parametrize("name", ["F625", "F2^13", "F4^2^3"])
+def test_poly_evaluates_at_points_of_its_field_and_every_field_above(name):
+    F = FIELDS[name]()
+    rng = random.Random(name)
+    sub = F
+    while sub is not None:
+        f = upoly.Poly(sub, [sub.decode(rng.randrange(sub.order)) for _ in range(9)])
+        for x in _sample(F, 12):
+            assert f(x) == _horner_on_elements(f, x)
+        if sub is not F:
+            with pytest.raises(CtxMismatchError):
+                upoly.Poly(F, [F.one(), F.one()])(sub.one())
+        sub = sub.base
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_tables_exactly_up_to_256(name):
     ctx = FIELDS[name]()

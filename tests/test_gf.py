@@ -13,7 +13,7 @@ from orbitfactor.errors import (
 
 
 def test_prime_field_basics(F7):
-    assert F7.order == 7 and F7.is_prime_field
+    assert F7.order == 7 and F7.base is None
     a, b = F7.elem(3), F7.elem(5)
     assert (a * b).rep == 1
     assert (a + b).rep == 1
@@ -220,6 +220,39 @@ def test_least_irreducible_matches_lexicographic_search(p, m, max_d):
     ctx = gf.field_create(p, m)
     for d in range(1, max_d + 1):
         assert gf.least_irreducible(ctx, d) == _lexicographic_least_irreducible(ctx, d)
+
+
+# (p, m, d, key) of the least irreducible of degree d over F_{p^m}: every
+# modulus, and so every encoding and every golden output, rests on these
+LEAST_IRREDUCIBLE_KEYS = [
+    (2, 1, 2, (2, (1, 1, 1))),
+    (2, 1, 3, (3, (1, 0, 1, 1))),
+    (2, 1, 5, (5, (1, 0, 0, 1, 0, 1))),
+    (2, 1, 8, (8, (1, 0, 0, 0, 1, 1, 0, 1, 1))),
+    (3, 1, 2, (2, (1, 0, 1))),
+    (3, 1, 3, (3, (1, 0, 2, 1))),
+    (3, 1, 5, (5, (1, 0, 0, 0, 2, 1))),
+    (2, 2, 2, (2, (1, 2, 1))),
+    (2, 2, 3, (3, (1, 0, 1, 1))),
+    (5, 1, 2, (2, (1, 1, 1))),
+    (5, 1, 3, (3, (1, 0, 1, 1))),
+    (5, 1, 4, (4, (1, 0, 1, 1, 1))),
+    (7, 1, 2, (2, (1, 0, 1))),
+    (7, 1, 3, (3, (1, 0, 1, 1))),
+    (2, 3, 2, (2, (1, 1, 1))),
+    (3, 2, 2, (2, (1, 4, 1))),
+    (3, 2, 3, (3, (1, 0, 2, 1))),
+    (13, 1, 2, (2, (1, 3, 1))),
+    (2, 4, 2, (2, (1, 3, 1))),
+    (17, 1, 3, (3, (1, 0, 3, 1))),
+    (5, 2, 2, (2, (1, 7, 1))),
+    (3, 3, 2, (2, (1, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("p,m,d,key", LEAST_IRREDUCIBLE_KEYS)
+def test_least_irreducible_keys_are_pinned(p, m, d, key):
+    assert gf.least_irreducible(gf.field_create(p, m), d).key() == key
 
 
 def test_least_irreducible_degree_seven_over_f7(F7):

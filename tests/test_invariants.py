@@ -172,7 +172,7 @@ def test_pgl_generator_invariance(p):
 
 
 def test_pgl_generator_translation_invariance(F5):
-    phi = inv.pgl_generator(F5, validate=False)
+    phi = inv.pgl_generator(F5)
     assert phi.compose_moebius(mo.parse_moebius(F5, "x+1")) == phi
 
 
@@ -223,6 +223,45 @@ def test_specialize_pole(F7):
     pole = upoly.roots_in(Pg.parameter.den, F7)[0]
     with pytest.raises(PoleError):
         Pg.specialize(pole)
+
+
+def _specialize_coefficientwise(P, alpha):
+    """The orbit polynomial with each coefficient num/den evaluated at alpha."""
+    out = []
+    for coeff in P.coeffs:
+        den = coeff.den(alpha)
+        if not den:
+            raise PoleError(f"coefficient denominator vanishes at {alpha}")
+        out.append(coeff.num(alpha) / den)
+    return upoly.Poly(alpha.ctx, out)
+
+
+@pytest.mark.parametrize("p,m,gens", [
+    (7, 1, ["(3x-1)/(x+3)"]),        # cyclic of order q+1
+    (5, 1, ["-x", "(1)/(x)"]),       # Klein four-group
+    (3, 1, None),                    # PGL(2,3)
+    (2, 2, None),                    # PGL(2,4), the A5 of characteristic 2
+])
+def test_specialize_matches_coefficientwise_evaluation(p, m, gens):
+    ctx = gf.field_create(p, m)
+    G = (go.full_pgl(ctx) if gens is None
+         else go.generate(ctx, [mo.parse_moebius(ctx, g) for g in gens]))
+    P = inv.orbit_polynomial(G)
+    ext = gf.extension_of(ctx, 2)
+    for alpha in list(ctx.elements()) + list(ext.elements()):
+        try:
+            want = _specialize_coefficientwise(P, alpha)
+        except PoleError:
+            with pytest.raises(PoleError):
+                P.specialize(alpha)
+        else:
+            assert P.specialize(alpha) == want
+    a_hat = upoly.Poly(ctx, [a for a, _ in P.family])
+    poles = upoly.roots_in(a_hat, ext)
+    assert poles
+    for alpha in poles:
+        with pytest.raises(PoleError):
+            P.specialize(alpha)
 
 
 @pytest.mark.parametrize("power", [1, 2])

@@ -173,6 +173,19 @@ def test_powers_share_fixed_points(F7):
                 assert sr.fixed_points(2) == fixed
 
 
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 2), (7, 1)])
+def test_power_is_repeated_composition(p, m):
+    ctx = gf.field_create(p, m)
+    for s in list(go.full_pgl(ctx))[::5]:
+        r = s.order()
+        for n in range(-(r + 1), r + 2):
+            step = s if n > 0 else s.inverse()
+            expected = mo.Moebius.identity(ctx)
+            for _ in range(abs(n)):
+                expected = expected.compose(step)
+            assert s.power(n) == expected
+
+
 def _order_by_composition(s):
     current, n = s, 1
     while not current.is_identity():

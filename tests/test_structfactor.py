@@ -343,7 +343,7 @@ def test_family_member_is_f_minus_lambda_g(p, m):
         f, g = phi.monic_pair()
         family = inv.orbit_polynomial(G).family
         for lam in ctx.elements():
-            assert sf.family_member(ctx, family, lam) == f - g.scale(lam)
+            assert inv.family_member(ctx, family, lam) == f - g.scale(lam)
 
 
 def test_generator_and_lambda_report_need_no_gcd(monkeypatch, F7):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +50,19 @@ def test_powmod(F7):
     mod = P(F7, 1, 0, 1)
     direct = (x * x * x * x) % mod
     assert upoly.powmod(x, 4, mod) == direct
+
+
+def test_powmod_is_pow_reduced(F7, F4):
+    for ctx in (F7, F4):
+        rng = random.Random(str(ctx))
+        f = upoly.Poly(ctx, [ctx.decode(rng.randrange(ctx.order)) for _ in range(5)])
+        mod = upoly.Poly(ctx, [ctx.decode(rng.randrange(ctx.order)) for _ in range(4)]
+                         + [ctx.one()])
+        power = upoly.Poly.one(ctx)
+        for e in range(41):
+            assert f.pow(e) == power
+            assert upoly.powmod(f, e, mod) == power % mod
+            power = power * f
 
 
 @pytest.mark.parametrize("ints,expected", [
