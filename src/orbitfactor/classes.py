@@ -99,7 +99,7 @@ def _class_key(ctx: gf.FieldCtx, key: tuple[int, int, int, int]) -> tuple[int, b
         flag = True
     elif not kappa and ctx.p != 2:
         a, b, c, d = key
-        flag = gf.is_square(ctx.decode(ctx.sub(ctx.mul(b, c), ctx.mul(a, d))))
+        flag = ctx.is_square(ctx.sub(ctx.mul(b, c), ctx.mul(a, d)))
     else:
         flag = False
     return kappa, flag

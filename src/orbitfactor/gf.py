@@ -20,7 +20,13 @@ encodings comes in three tiers, chosen when the field is built:
 
 The first two tiers come from the same discrete-log arrays, built with the
 field from about 2 * sqrt(order) computed products and one computed add per
-element.
+element.  Each row of a 2-D table is gathered from them at C level: the mul
+row of g^i is exp read at i + log x, and the add row of a is a's mul row
+read at the 1 + x/a (see :func:`_log_tables`).
+
+Traces, square roots, the Artin–Schreier solve and quadratic roots run on
+encodings too, as methods of the context; the functions of the same names
+on field elements wrap them.
 
 All values are immutable.
 """
@@ -29,7 +35,8 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterator, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     CtxMismatchError,
@@ -139,7 +146,7 @@ class FieldCtx:
         self._hash = hash((p, self.degree, None if base is None else hash(base),
                            None if mod is None else tuple(c.encode() for c in mod)))
         self._irr_cache: dict = {}
-        self._quad_const: Optional["FieldElem"] = None
+        self._quad_const: Optional[int] = None
 
     # -- identity / comparison ------------------------------------------------
 
@@ -228,6 +235,133 @@ class FieldCtx:
         with the field; None when the field has more than 256 elements,
         including the 257..4096 extension fields that answer from logs."""
         return self._tables
+
+    # -- powers, square roots and quadratic equations on encodings ---------------
+
+    def power(self, x: int, e: int) -> int:
+        """x^e for an encoding x and e >= 0."""
+        if self.base is None:
+            return pow(x, e, self.p)
+        return _power(self.mul, x, e)
+
+    def absolute_trace(self, x: int) -> int:
+        """x + x^p + ... + x^(p^(n-1)), n the degree over F_p: the trace of x
+        down to the prime field, as a residue mod p."""
+        p, add = self.p, self.add
+        y = t = x
+        for _ in range(self.tower_degree() - 1):
+            y = self.power(y, p)
+            t = add(t, y)
+        return t
+
+    def is_square(self, x: int) -> bool:
+        """Euler's criterion: x is 0 or x^((Q-1)/2) = 1.  In characteristic 2
+        every element is a square."""
+        return self.p == 2 or not x or self.power(x, (self.order - 1) // 2) == 1
+
+    def _quadratic_constant(self) -> int:
+        """A non-square for odd p, an element of absolute trace 1 for p = 2.
+
+        Found by a scan in encoding order, which passes every element of a
+        subfield first, so the result is kept on the context.
+        """
+        c = self._quad_const
+        if c is None:
+            if self.p == 2:
+                c = next(x for x in range(self.order) if self.absolute_trace(x))
+            else:
+                c = next(x for x in range(self.order) if not self.is_square(x))
+            self._quad_const = c
+        return c
+
+    def sqrt(self, x: int) -> Optional[int]:
+        """A square root of x, or None when x is not a square.
+
+        In characteristic 2 the root is x^(Q/2), for Q the order of the field.
+        For odd p it is found by Tonelli–Shanks: write Q - 1 = 2^e * r with r
+        odd, start from x^((r+1)/2), whose square is x times t = x^r, and
+        cancel the 2-power part of t with powers of z^r, for z the field's
+        non-square.  x is a square exactly when t has order below 2^e.
+        """
+        if self.p == 2:
+            return self.power(x, self.order // 2)
+        if not x:
+            return 0
+        mul = self.mul
+        r, e = self.order - 1, 0
+        while not r & 1:
+            r >>= 1
+            e += 1
+        root = self.power(x, (r + 1) // 2)
+        t = self.power(x, r)  # root^2 = x * t throughout
+        c = None
+        while t != 1:
+            i, u = 0, t  # t has order 2^i
+            while u != 1:
+                u = mul(u, u)
+                i += 1
+            if i == e:
+                return None  # only on the first pass: x is not a square
+            if c is None:
+                c = self.power(self._quadratic_constant(), r)  # of order 2^e
+            b = c
+            for _ in range(e - i - 1):
+                b = mul(b, b)
+            root = mul(root, b)
+            c = mul(b, b)
+            t = mul(t, c)
+            e = i
+        return root
+
+    def artin_schreier_root(self, w: int) -> Optional[int]:
+        """A root u of u^2 + u = w in characteristic 2, or None when the
+        absolute trace of w is 1.  The other root is u + 1.
+
+        With theta of trace 1 and n the degree over F_2, the root is
+        u = sum over 1 <= i < n of (theta + theta^2 + ... + theta^(2^(i-1))) * w^(2^i):
+        then u^2 + u = w + theta * Tr(w).
+        """
+        if self.p != 2:
+            raise CtxMismatchError(
+                f"u^2 + u = w is an equation in characteristic 2, not over {self}")
+        if self.absolute_trace(w):
+            return None
+        mul = self.mul
+        theta = partial = self._quadratic_constant()
+        u = 0
+        for _ in range(self.tower_degree() - 1):
+            w = mul(w, w)
+            u ^= mul(partial, w)
+            theta = mul(theta, theta)
+            partial ^= theta
+        return u
+
+    def quadratic_roots(self, beta: int, gamma: int) -> tuple[int, ...]:
+        """The distinct roots of T^2 + beta*T + gamma, sorted encodings.
+
+        Odd p: (-beta +- sqrt(beta^2 - 4*gamma)) / 2.  Characteristic 2: the
+        root sqrt(gamma) when beta = 0, else T = beta*u with u^2 + u = gamma/beta^2.
+        """
+        mul = self.mul
+        if self.p == 2:
+            if not beta:
+                return (self.sqrt(gamma),)
+            u = self.artin_schreier_root(mul(gamma, self.inv(mul(beta, beta))))
+            if u is None:
+                return ()
+            root = mul(beta, u)
+            roots = (root, root ^ beta)
+        else:
+            sub = self.sub
+            # 4 and 1/2 are residues mod p, which encode themselves
+            r = self.sqrt(sub(mul(beta, beta), mul(4 % self.p, gamma)))
+            if r is None:
+                return ()
+            half = (self.p + 1) // 2
+            if not r:
+                return (mul(self.neg(beta), half),)
+            roots = (mul(sub(r, beta), half), mul(sub(self.neg(r), beta), half))
+        return tuple(sorted(roots))
 
 
 class FieldElem:
@@ -330,9 +464,7 @@ class FieldElem:
         if e < 0:
             return self.inverse() ** (-e)
         ctx = self.ctx
-        if ctx.base is None:
-            return ctx.decode(pow(self.rep, e, ctx.p))
-        return ctx.decode(_power(ctx.mul, self.rep, e))
+        return ctx.decode(ctx.power(self.rep, e))
 
 
 # -- arithmetic on encodings ---------------------------------------------------
@@ -357,7 +489,9 @@ def _number(digits: Sequence[int], b: int) -> int:
 
 def _power(mul, x, e: int, one=1):
     """x^e by square-and-multiply with the given multiplication and unit;
-    by default x is an encoding and the unit is 1."""
+    by default x is an encoding and the unit is 1.  e must not be negative."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}: invert first")
     result = one
     while e:
         if e & 1:
@@ -528,22 +662,37 @@ def _log_arrays(p: int, order: int, add, mul) -> tuple:
     return exp, log, zech
 
 
+def _gather(indices) -> Callable:
+    """seq -> tuple(seq[i] for i in indices), as one C-level call; a
+    one-index itemgetter returns the item itself, so that case is wrapped."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
 def _log_tables(p: int, exp: list, log: list, zech: list) -> tuple:
     """(add, mul, neg, inv) tables from the arrays of :func:`_log_arrays`.
 
-    g^i * g^j = g^(i+j) and g^i + g^j = g^i * (1 + g^(j-i)); -1 is 1 in
+    g^i * g^j = g^(i+j), so the mul row of a = g^i, listed in encoding
+    order x = 1, 2, ..., is exp read at i + log x: one gather of a slice of
+    exp by the logs.  a + x = a * (1 + x/a) with x/a = g^(log x - i), so the
+    add row is a gather of the 1 + g^k by the same logs, from a slice
+    starting at -i, then a gather of a's mul row by those.  -1 is 1 in
     characteristic 2 and g^(n/2) otherwise.
     """
     order = len(log)
     n = order - 1
     logs = log[1:]
+    by_log = _gather(logs)
     exp2 = exp + exp
-    # zech[l - i] wraps mod n
+    # one_plus[k] = 1 + g^k, and 0 where that is 0; twice, so a slice wraps mod n
+    one_plus = [exp[z] if z >= 0 else 0 for z in zech] * 2
     add_t = [list(range(order))] + [None] * n
     mul_t = [[0] * order] + [None] * n
     for i, a in enumerate(exp):
-        mul_t[a] = [0] + [exp2[i + l] for l in logs]
-        add_t[a] = [a] + [exp2[i + z] if (z := zech[l - i]) >= 0 else 0 for l in logs]
+        row = mul_t[a] = [0, *by_log(exp2[i:i + n])]
+        add_t[a] = [a, *_gather(by_log(one_plus[n - i:2 * n - i]))(row)]
     neg_t = list(range(order)) if p == 2 else [0] + [exp2[l + n // 2] for l in logs]
     inv_t = [0] + [exp2[n - l] for l in logs]
     return add_t, mul_t, neg_t, inv_t
@@ -799,124 +948,35 @@ def minimal_poly(alpha: FieldElem, over: FieldCtx):
 
 
 def absolute_trace(x: FieldElem) -> int:
-    """x + x^p + ... + x^(p^(n-1)), n the degree over F_p: the trace of x
-    down to the prime field, as a residue mod p."""
-    p = x.ctx.p
-    y = t = x
-    for _ in range(x.ctx.tower_degree() - 1):
-        y = y ** p
-        t = t + y
-    return t.rep
+    """The trace of x down to the prime field, as a residue mod p (see
+    :meth:`FieldCtx.absolute_trace`)."""
+    return x.ctx.absolute_trace(x.rep)
 
 
 def is_square(x: FieldElem) -> bool:
-    """Euler's criterion: x is 0 or x^((Q-1)/2) = 1.  In characteristic 2
-    every element is a square."""
-    ctx = x.ctx
-    return ctx.p == 2 or not x or x ** ((ctx.order - 1) // 2) == ctx.one()
-
-
-def _quadratic_constant(ctx: FieldCtx) -> FieldElem:
-    """A non-square of ctx for odd p, an element of absolute trace 1 for p = 2.
-
-    Found by a scan in encoding order, which passes every element of a
-    subfield first, so the result is kept on the context.
-    """
-    c = ctx._quad_const
-    if c is None:
-        if ctx.p == 2:
-            c = next(x for x in ctx.elements() if absolute_trace(x))
-        else:
-            c = next(x for x in ctx.elements() if not is_square(x))
-        ctx._quad_const = c
-    return c
+    """Whether x is a square in its field (see :meth:`FieldCtx.is_square`)."""
+    return x.ctx.is_square(x.rep)
 
 
 def sqrt(x: FieldElem) -> Optional[FieldElem]:
-    """A square root of x, or None when x is not a square.
-
-    In characteristic 2 the root is x^(Q/2), for Q the order of the field.
-    For odd p it is found by Tonelli–Shanks: write Q - 1 = 2^e * r with r
-    odd, start from x^((r+1)/2), whose square is x times x^r, and cancel the
-    2-power part of x^r with powers of z^r, for z the field's non-square.
-    """
-    ctx = x.ctx
-    if ctx.p == 2:
-        return x ** (ctx.order // 2)
-    if not x:
-        return x
-    if not is_square(x):
-        return None
-    r, e = ctx.order - 1, 0
-    while not r & 1:
-        r >>= 1
-        e += 1
-    one = ctx.one()
-    root = x ** ((r + 1) // 2)
-    t = x ** r  # root^2 = x * t throughout
-    c = _quadratic_constant(ctx) ** r  # of order 2^e
-    while t != one:
-        i, u = 0, t  # t has order 2^i, with i < e
-        while u != one:
-            u = u * u
-            i += 1
-        b = c
-        for _ in range(e - i - 1):
-            b = b * b
-        root = root * b
-        c = b * b
-        t = t * c
-        e = i
-    return root
+    """A square root of x, or None when x is not a square (see
+    :meth:`FieldCtx.sqrt`)."""
+    r = x.ctx.sqrt(x.rep)
+    return None if r is None else x.ctx.decode(r)
 
 
 def artin_schreier_root(w: FieldElem) -> Optional[FieldElem]:
     """A root u of u^2 + u = w in characteristic 2, or None when the absolute
-    trace of w is 1.  The other root is u + 1.
-
-    With theta of trace 1 and n the degree over F_2, the root is
-    u = sum over 1 <= i < n of (theta + theta^2 + ... + theta^(2^(i-1))) * w^(2^i):
-    then u^2 + u = w + theta * Tr(w).
-    """
-    ctx = w.ctx
-    if ctx.p != 2:
-        raise CtxMismatchError(f"u^2 + u = w is an equation in characteristic 2, not over {ctx}")
-    if absolute_trace(w):
-        return None
-    theta = partial = _quadratic_constant(ctx)
-    u = ctx.zero()
-    for _ in range(ctx.tower_degree() - 1):
-        w = w * w
-        u = u + partial * w
-        theta = theta * theta
-        partial = partial + theta
-    return u
+    trace of w is 1 (see :meth:`FieldCtx.artin_schreier_root`)."""
+    u = w.ctx.artin_schreier_root(w.rep)
+    return None if u is None else w.ctx.decode(u)
 
 
 def quadratic_roots(beta: FieldElem, gamma: FieldElem) -> tuple[FieldElem, ...]:
     """The distinct roots of T^2 + beta*T + gamma in the field of beta,
-    sorted by encoding.
-
-    Odd p: (-beta +- sqrt(beta^2 - 4*gamma)) / 2.  Characteristic 2: the
-    root sqrt(gamma) when beta = 0, else T = beta*u with u^2 + u = gamma/beta^2.
-    """
+    sorted by encoding (see :meth:`FieldCtx.quadratic_roots`)."""
     ctx = beta.ctx
-    if ctx.p == 2:
-        if not beta:
-            return (sqrt(gamma),)
-        u = artin_schreier_root(gamma / (beta * beta))
-        if u is None:
-            return ()
-        roots = [beta * u, beta * u + beta]
-    else:
-        r = sqrt(beta * beta - 4 * gamma)
-        if r is None:
-            return ()
-        half = ctx.elem(2).inverse()
-        if not r:
-            return (-beta * half,)
-        roots = [(r - beta) * half, (-r - beta) * half]
-    return tuple(sorted(roots, key=FieldElem.encode))
+    return tuple(map(ctx.decode, ctx.quadratic_roots(beta.rep, beta._coerce(gamma).rep)))
 
 
 # -- text format ----------------------------------------------------------------

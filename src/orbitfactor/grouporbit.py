@@ -3,8 +3,9 @@
 Non-regular orbits are found from the fixed points of group elements.  Those
 of a non-identity element are infinity or the roots of a quadratic read off
 its matrix, so they all lie on P^1(F_{q^2}) and come from the quadratic
-formula, without scanning any extension; they are the basis of the
-ramification audit.  Element orders come from the matrix too (see
+formula, without scanning any extension, once per cyclic subgroup, since
+every non-identity power of an element shares its fixed points; they are
+the basis of the ramification audit.  Element orders come from the matrix too (see
 :meth:`moebius.Moebius.order`).
 """
 
@@ -195,14 +196,34 @@ def nonregular_orbits(G: Subgroup) -> tuple[Orbit, ...]:
     Every point with a nontrivial stabilizer is a fixed point of some
     non-identity element, hence lies on P^1(F_{q^2}); it suffices to decompose
     the union of those fixed points, found as encodings over one F_{q^2}.
+    A non-identity power of g fixes g's fixed points and has no others (at
+    most two over the closure, one when unipotent), so the quadratic is
+    solved once per cyclic subgroup <g>, for the first g in G's order not
+    yet met as a power; each point found is then checked to be fixed by
+    every element it is credited to, one image each.
     """
     if len(G) == 1:
         return ()
     ext = gf.extension_of(G.ctx, 2)
+    image = mo.image
+    fixed_by: dict[tuple, tuple[int, ...]] = {}
     candidates: set[int] = set()
     for s in G:
-        if not s.is_identity():
-            candidates.update(s.fixed_encodings(ext))
+        key = s.key()
+        if key == mo.IDENTITY_KEY:
+            continue
+        points = fixed_by.get(key)
+        if points is None:
+            # solved and checked by fixed_encodings; shared by the powers of s
+            points = s.fixed_encodings(ext)
+            candidates.update(points)
+            for t in s.powers():
+                fixed_by.setdefault(t.key(), points)
+            continue
+        for x in points:
+            if image(ext, key, x) != x:
+                raise InvariantViolation(f"{s} moves the fixed point {mo.point_of(ext, x)} "
+                                         "of its cyclic subgroup")
     orbits = _orbits(G, sorted(candidates), ext)
     for orbit in orbits:
         if not candidates.issuperset(-1 if z.value is None else z.value.rep

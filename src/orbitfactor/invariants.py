@@ -275,11 +275,20 @@ def orbit_polynomial(G: go.Subgroup) -> OrbitPolynomial:
     """
     family, param_index = orbit_family(G)
     ctx = G.ctx
-    a_hat = upoly.Poly(ctx, [a for a, _ in family])
-    B = upoly.Poly(ctx, [b for _, b in family])
-    lead = a_hat.lc().inverse()
-    den, one = a_hat.scale(lead), upoly.Poly.one(ctx)
-    coeffs = tuple(RatFunc.coprime(den.scale(b) - B.scale(a * lead), den) if a
+    mul, neg, addmul, decode = ctx.mul, ctx.neg, ctx.addmul, ctx.decode
+    a_vec = [a.rep for a, _ in family]
+    neg_b = [neg(b.rep) for _, b in family]
+    lead = ctx.inv(next(a for a in reversed(a_vec) if a))
+    den_vec = [mul(a, lead) for a in a_vec]  # Ahat / lc(Ahat), padded to |G|+1
+    den, one = upoly.Poly(ctx, list(map(decode, den_vec))), upoly.Poly.one(ctx)
+    zeros = [0] * len(den_vec)
+
+    def numerator(a: int, b: int) -> upoly.Poly:
+        """b*den - a*lead*B, two addmul passes on encodings."""
+        return upoly.Poly(ctx, list(map(decode, addmul(addmul(zeros, b, den_vec),
+                                                       mul(a, lead), neg_b))))
+
+    coeffs = tuple(RatFunc.coprime(numerator(a.rep, b.rep), den) if a
                    else RatFunc.coprime(upoly.Poly(ctx, (b,)), one)
                    for a, b in family)
     return OrbitPolynomial(G, coeffs, family, param_index)
@@ -376,8 +385,7 @@ def _torus_fibres(ctx: gf.FieldCtx, entries: list) -> list | None:
     G-orbit, and the companion divided by c is the fibre prod over G of
     (T - h(z)).  An O(|G|) test and O(q) work, all in F_q.
     """
-    mul, inv, sub, neg = ctx.mul, ctx.inv, ctx.sub, ctx.neg
-    q = ctx.order
+    mul, inv, sub = ctx.mul, ctx.inv, ctx.sub
     shapes, fibres = set(), []
     for key in entries:
         if key == mo.IDENTITY_KEY:
@@ -390,11 +398,20 @@ def _torus_fibres(ctx: gf.FieldCtx, entries: list) -> list | None:
         if len(shapes) > 1:
             return None
         if len(fibres) < 2:
-            fibre = [0] * (q + 2)
-            fibre[0], fibre[1] = neg(mul(b, inv_c)), neg(mul(a, inv_c))
-            fibre[q], fibre[q + 1] = mul(d, inv_c), 1
-            fibres.append(fibre)
+            fibres.append(monic_companion(ctx, key))
     return fibres
+
+
+def monic_companion(ctx: gf.FieldCtx, key: tuple) -> list:
+    """Encoded coefficients, low to high, of c*T^(q+1) + d*T^q - a*T - b
+    divided by c, for encoded entries (a, b, c, d) over F_q with c != 0."""
+    a, b, c, d = key
+    mul, inv_c = ctx.mul, ctx.inv(c)
+    q = ctx.order
+    out = [0] * (q + 2)
+    out[0], out[1] = ctx.neg(mul(b, inv_c)), ctx.neg(mul(a, inv_c))
+    out[q], out[q + 1] = mul(d, inv_c), 1
+    return out
 
 
 def _orbit_fibres(field: gf.FieldCtx, entries: list, seen: set) -> list:

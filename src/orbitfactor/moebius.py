@@ -276,21 +276,24 @@ class Moebius:
     # -- structure of a single element ---------------------------------------------
 
     def classify(self) -> MoebiusClass:
-        """Eigenvalue trichotomy of a pre-image matrix."""
+        """Eigenvalue trichotomy of a pre-image matrix, on encodings."""
         if self.is_identity():
             return MoebiusClass.IDENTITY
         ctx = self.ctx
-        a, b, c, d = self.entries()
+        mul, add, sub = ctx.mul, ctx.add, ctx.sub
+        a, b, c, d = self._key
         if ctx.p == 2:
             if a == d:
                 return MoebiusClass.UNIPOTENT
             # separable char. poly; split iff the absolute trace of det/tr^2 is 0
-            w = (a * d - b * c) / ((a + d) * (a + d))
-            return MoebiusClass.NONSPLIT if gf.absolute_trace(w) else MoebiusClass.SPLIT
-        disc = (d - a) * (d - a) + 4 * b * c
+            tr = add(a, d)
+            w = mul(sub(mul(a, d), mul(b, c)), ctx.inv(mul(tr, tr)))
+            return MoebiusClass.NONSPLIT if ctx.absolute_trace(w) else MoebiusClass.SPLIT
+        # (d-a)^2 + 4bc; 4 is a residue mod p, which encodes itself
+        disc = add(mul(sub(d, a), sub(d, a)), mul(4 % ctx.p, mul(b, c)))
         if not disc:
             return MoebiusClass.UNIPOTENT
-        return MoebiusClass.SPLIT if gf.is_square(disc) else MoebiusClass.NONSPLIT
+        return MoebiusClass.SPLIT if ctx.is_square(disc) else MoebiusClass.NONSPLIT
 
     def fixed_encodings(self, ext: gf.FieldCtx) -> tuple[int, ...]:
         """The fixed points on P^1(ext), for ext an extension of the field,
@@ -298,7 +301,8 @@ class Moebius:
 
         z = (az+b)/(cz+d) in closed form: for c = 0 the points are infinity
         and b/(d-a) when d != a, otherwise the roots of T^2 + ((d-a)/c)T - b/c
-        by :func:`gf.quadratic_roots`.  Each is checked to be fixed.
+        by :meth:`gf.FieldCtx.quadratic_roots` over ext.  Each is checked to
+        be fixed.
         """
         if self._key == IDENTITY_KEY:
             raise IdentityInputError("every point is fixed by the identity")
@@ -313,9 +317,7 @@ class Moebius:
                 out.append(mul(b, ctx.inv(sub(d, a))))
         else:
             inv_c = ctx.inv(c)
-            roots = gf.quadratic_roots(ext.decode(mul(sub(d, a), inv_c)),
-                                       ext.decode(ctx.neg(mul(b, inv_c))))
-            out = [r.rep for r in roots]
+            out = list(ext.quadratic_roots(mul(sub(d, a), inv_c), ctx.neg(mul(b, inv_c))))
         for x in out:
             if image(ext, key, x) != x:
                 raise InvariantViolation(f"{self} moves its computed fixed point "

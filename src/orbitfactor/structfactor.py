@@ -218,34 +218,41 @@ def lambda_family_report(s: mo.Moebius) -> LambdaFamilyReport:
     nu*(x^q - x), and adding nu*(T^q - T) to the companion of s, with matrix
     M = (a, b; c, d), gives the companion of M + nu*I.  So each
     h = F_lambda is, up to the unit c, the companion of the element
-    w = (a+nu, b, c, d+nu) of G = <s> with nu = c*h[T^q] - d; that identity,
-    w in G, w not the identity and a different w for each lambda are checked
-    on every lambda.  No root of h
-    is fixed by s (it would be rational, and s is nonsplit), so every factor
-    of h has degree order(w).  The degree r appears for exactly phi(r)
+    w = (a+nu, b, c, d+nu) of G = <s> with nu = c*h[T^q] - d; that identity
+    (on encodings, against :func:`invariants.monic_companion` of w), w in G,
+    w not the identity and a different w for each lambda are checked on
+    every lambda.  No root of h is fixed by s (it would be rational, and s
+    is nonsplit), so every factor of h has degree order(w), which is
+    (q+1)/gcd(k, q+1) for w = s^k.  The degree r appears for exactly phi(r)
     values of lambda, for each divisor r > 1 of q+1, and the counts sum
     to q.
     """
     ctx = s.ctx
     q = ctx.order
-    G = go.Subgroup(ctx, s.powers())
+    powers = s.powers()
+    G = go.Subgroup(ctx, powers)
     if len(G) != q + 1:
         raise WrongOrderError(f"order must be exactly q+1 = {q + 1}")
+    exponent = {t.key(): k for k, t in enumerate(powers, 1)}  # t = s^k
     family, _ = inv.orbit_family(G)
+    a_vec = [a_i.rep for a_i, _ in family]
+    b_vec = [b_i.rep for _, b_i in family]
     a, b, c, d = s.key()
+    mul, add, sub = ctx.mul, ctx.add, ctx.sub
     seen = set()
     counts: dict[int, int] = {}
-    for lam in ctx.elements():
-        h = inv.family_member(ctx, family, lam)
-        nu = ctx.sub(ctx.mul(c, h.coeffs[q].rep), d)
-        w = mo.Moebius.from_key(ctx, (ctx.add(a, nu), b, c, ctx.add(d, nu)))
-        if w.is_identity() or w not in G or w in seen:
+    for lam in range(q):
+        h = ctx.addmul(b_vec, lam, a_vec)  # F_lambda, encoded
+        nu = sub(mul(c, h[q]), d)
+        w = mo.Moebius.from_key(ctx, (add(a, nu), b, c, add(d, nu))).key()
+        k = exponent.get(w)
+        if w == mo.IDENTITY_KEY or k is None or w in seen:
             raise InvariantViolation("f - lambda*g is not the companion of a new "
                                      "non-identity element of <s>")
-        if frobenius_companion(w).monic() != h:
+        if not w[2] or inv.monic_companion(ctx, w) != h:
             raise InvariantViolation("f - lambda*g is not the companion of M + nu*I")
         seen.add(w)
-        r = w.order()
+        r = (q + 1) // math.gcd(k, q + 1)
         counts[r] = counts.get(r, 0) + 1
     report = {r: (counts.get(r, 0), _euler_phi(r))
               for r in divisors(q + 1) if r > 1}

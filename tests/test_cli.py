@@ -33,7 +33,9 @@ def run_cli(capsys, *argv):
 # orbit-poly over F_19 of elements of order q+1, whose families are read off
 # a companion polynomial; and the README's classes over F_3 and over F_4 with
 # --lambda [0,0], and invariant --pgl over F_3 and over F_7 (degree 336,
-# where pgl_generator checks invariance at points instead of by composition)
+# where pgl_generator checks invariance at points instead of by composition;
+# and lambda-report over F_8 and F_9, and orbit-poly and orbits --ext 2 of
+# <x+1, 1/x> over F_8, whose ramification audit runs over F_64)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

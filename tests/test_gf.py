@@ -325,3 +325,102 @@ def test_quadratic_roots_match_a_search(make):
 def test_artin_schreier_needs_characteristic_two(F7):
     with pytest.raises(CtxMismatchError):
         gf.artin_schreier_root(F7.one())
+
+
+# -- the int quadratic kernel against a brute-force root search -----------------
+
+
+def _roots_by_search(ctx, squares, beta, gammas):
+    """For each gamma, the t with t^2 + beta*t + gamma = 0, from one list of
+    the values t^2 + beta*t."""
+    values = ctx.addmul(squares, beta, range(ctx.order))
+    roots = {}
+    for t, v in enumerate(values):
+        roots.setdefault(v, []).append(t)
+    return [tuple(roots.get(ctx.neg(gamma), ())) for gamma in gammas]
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (3, 2), (2, 4)])
+def test_int_quadratic_roots_match_a_search_everywhere(p, m):
+    ctx = gf.field_create(p, m)
+    squares = [ctx.mul(t, t) for t in range(ctx.order)]
+    for beta in range(ctx.order):
+        want = _roots_by_search(ctx, squares, beta, range(ctx.order))
+        assert [ctx.quadratic_roots(beta, gamma) for gamma in range(ctx.order)] == want
+
+
+# F_625 and F_1024 answer from logs, F_{2^13} computes; beta = 0 is the
+# square-root branch, and half the gammas are made to have a root
+@pytest.mark.parametrize("p,m,betas", [(5, 4, 4), (2, 10, 4), (2, 13, 1)],
+                         ids=["F625", "F1024", "F8192"])
+def test_int_quadratic_roots_match_a_search_on_samples(p, m, betas):
+    ctx = gf.field_create(p, m)
+    assert 256 < ctx.order and (ctx.order <= 4096) == (m < 13)
+    rng = random.Random(f"quadratic/{ctx.order}")
+    squares = [ctx.mul(t, t) for t in range(ctx.order)]
+    for beta in [0] + [rng.randrange(1, ctx.order) for _ in range(betas)]:
+        gammas = [rng.randrange(ctx.order) for _ in range(6)]
+        gammas += [ctx.neg(ctx.add(squares[t], ctx.mul(beta, t)))
+                   for t in (rng.randrange(ctx.order) for _ in range(6))]
+        want = _roots_by_search(ctx, squares, beta, gammas)
+        assert [ctx.quadratic_roots(beta, gamma) for gamma in gammas] == want
+        assert any(want) and (p == 2 or not all(want))
+
+
+# -- the 2-D tables against the list-comprehension builder ----------------------
+
+
+def _reference_log_tables(p, exp, log, zech):
+    """The 2-D tables built element by element from the log arrays."""
+    order = len(log)
+    n = order - 1
+    logs = log[1:]
+    exp2 = exp + exp
+    add_t = [list(range(order))] + [None] * n
+    mul_t = [[0] * order] + [None] * n
+    for i, a in enumerate(exp):
+        mul_t[a] = [0] + [exp2[i + l] for l in logs]
+        add_t[a] = [a] + [exp2[i + z] if (z := zech[l - i]) >= 0 else 0 for l in logs]
+    neg_t = list(range(order)) if p == 2 else [0] + [exp2[l + n // 2] for l in logs]
+    inv_t = [0] + [exp2[n - l] for l in logs]
+    return add_t, mul_t, neg_t, inv_t
+
+
+def _table_fields():
+    """Every field of at most 256 elements from field_create, and the
+    extension_of towers over F_4, F_8, F_16 and F_9 that stay that small."""
+    fields = []
+    for p in filter(gf.is_prime, range(2, 257)):
+        m = 1
+        while p ** m <= 256:
+            fields.append(gf.field_create(p, m))
+            m += 1
+    F4, F8, F9 = gf.field_create(2, 2), gf.field_create(2, 3), gf.field_create(3, 2)
+    F16 = gf.extension_of(F4, 2)
+    return fields + [F16, gf.extension_of(F16, 2), gf.extension_of(F4, 3),
+                     gf.extension_of(F8, 2), gf.extension_of(F9, 2)]
+
+
+def test_log_tables_match_the_element_by_element_builder():
+    fields = _table_fields()
+    assert {F.order for F in fields} >= {2, 3, 4, 16, 256}
+    for F in fields:
+        if F.base is None:
+            ops = gf._residue_ops(F.p)
+        else:
+            ops = gf._vector_ops(F.base, tuple(c.rep for c in F.modulus.coeffs))
+        arrays = gf._log_arrays(F.p, F.order, ops[0], ops[3])
+        assert F.tables() == _reference_log_tables(F.p, *arrays), F
+
+
+def test_negative_exponents(F7):
+    f = upoly.Poly.from_ints(F7, [1, 1])
+    with pytest.raises(ValueError, match="negative exponent"):
+        f.pow(-1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        upoly.powmod(f, -1, upoly.Poly.from_ints(F7, [1, 0, 1]))
+    # field elements and Moebius maps invert first
+    x = F7.elem(3)
+    assert x ** -1 == x.inverse() and x ** -3 == x.inverse() ** 3
+    F9 = gf.field_create(3, 2)
+    assert F9.gen() ** -2 == (F9.gen() * F9.gen()).inverse()

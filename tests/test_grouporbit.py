@@ -1,7 +1,7 @@
 import pytest
 
 from orbitfactor import gf, grouporbit as go, moebius as mo
-from orbitfactor.errors import NotInGroupError, SizeCapError
+from orbitfactor.errors import InvariantViolation, NotInGroupError, SizeCapError
 
 
 def test_generate_trivial(F7):
@@ -202,3 +202,51 @@ def test_enumeration_cap():
     ctx = gf.field_create(2, 7)
     with pytest.raises(SizeCapError):
         go.full_pgl(ctx)
+
+
+def _nonregular_by_every_element(G):
+    """The former search: the fixed points of every non-identity element,
+    each solved on its own, decomposed into orbits."""
+    ext = gf.extension_of(G.ctx, 2)
+    candidates = set()
+    for s in G:
+        if not s.is_identity():
+            candidates.update(s.fixed_encodings(ext))
+    return tuple(go._orbits(G, sorted(candidates), ext)), candidates
+
+
+def _generated(ctx, *gens):
+    return go.generate(ctx, [mo.parse_moebius(ctx, g) for g in gens])
+
+
+NONREGULAR_GROUPS = {
+    **{f"PGL(2,{p ** m})": lambda p=p, m=m: go.full_pgl(gf.field_create(p, m))
+       for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]},
+    **{f"A5<PGL(2,{p})": lambda p=p: go.a5_subgroup(gf.prime_field(p)) for p in (11, 19)},
+    "D10<PGL(2,11)": lambda: _generated(gf.prime_field(11), "3x", "(-1)/(x)"),
+    "<x+1> in PGL(2,9)": lambda: _generated(gf.field_create(3, 2), "x+1"),
+}
+
+
+@pytest.mark.parametrize("name", list(NONREGULAR_GROUPS))
+def test_nonregular_orbits_match_the_per_element_search(name):
+    G = NONREGULAR_GROUPS[name]()
+    orbits = go.nonregular_orbits(G)
+    want, candidates = _nonregular_by_every_element(G)
+    assert orbits == want
+    assert {-1 if z.value is None else z.value.rep
+            for o in orbits for z in o.points} == candidates
+    if name.startswith("D10"):
+        assert [(o.size, len(o.stabilizer)) for o in orbits] == [(2, 5), (5, 2), (5, 2)]
+    if name.startswith("<x+1>"):
+        assert [(o.size, len(o.stabilizer)) for o in orbits] == [(1, 3)]
+
+
+def test_nonregular_orbits_check_every_element(monkeypatch, F7):
+    # fixed points credited to a power of the first element of a cyclic
+    # subgroup are still checked against that power
+    G = go.full_pgl(F7)
+    monkeypatch.setattr(mo.Moebius, "powers",
+                        lambda s: [s, s.compose(mo.Moebius.from_ints(F7, 1, 1, 0, 1))])
+    with pytest.raises(InvariantViolation, match="moves the fixed point"):
+        go.nonregular_orbits(G)

@@ -311,13 +311,52 @@ def test_lambda_report_needs_no_powmod_or_factoring(monkeypatch, F7):
     assert report.counts == {2: (1, 1), 4: (2, 2), 8: (4, 4)}
 
 
+def _frozen_family(monkeypatch, s, perturb=None):
+    """Make inv.orbit_family return the family of <s> computed now, with
+    perturb applied to its list of pairs, so that later patches reach only
+    the report."""
+    family, j = inv.orbit_family(go.Subgroup(s.ctx, s.powers()))
+    family = list(family)
+    if perturb is not None:
+        perturb(family)
+    monkeypatch.setattr(inv, "orbit_family", lambda G: (tuple(family), j))
+
+
 def test_lambda_report_checks_the_companion_identity(monkeypatch, F7):
+    # the comparison of F_lambda with the companion of w is given w*s instead
     s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
-    companion = sf.frobenius_companion
-    monkeypatch.setattr(sf, "frobenius_companion",
-                        lambda w: companion(w) + upoly.Poly.one(F7))
-    with pytest.raises(InvariantViolation, match="companion"):
+    _frozen_family(monkeypatch, s)
+    companion, calls = inv.monic_companion, []
+
+    def wrong_element(ctx, key):
+        calls.append(key)
+        return companion(ctx, mo.Moebius.from_key(ctx, key).compose(s).key())
+
+    monkeypatch.setattr(inv, "monic_companion", wrong_element)
+    with pytest.raises(InvariantViolation, match="companion of M \\+ nu"):
         sf.lambda_family_report(s)
+    assert calls
+
+
+@pytest.mark.parametrize("i", range(9))
+def test_lambda_report_rejects_a_perturbed_family(monkeypatch, F7, i):
+    # one b_i of the family, at each of the q + 2 = 9 places, moved by one
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+
+    def perturb(family):
+        a, b = family[i]
+        family[i] = (a, b + 1)
+
+    _frozen_family(monkeypatch, s, perturb)
+    with pytest.raises(InvariantViolation):
+        sf.lambda_family_report(s)
+
+
+def test_lambda_report_on_a_frozen_family_passes(monkeypatch, F7):
+    # the control for the two mutations above
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+    _frozen_family(monkeypatch, s)
+    assert sf.lambda_family_report(s).counts == {2: (1, 1), 4: (2, 2), 8: (4, 4)}
 
 
 # The generator before it was read off the family, kept as a reference: the
