@@ -3,10 +3,10 @@
 Non-regular orbits are found from the fixed points of group elements.  Those
 of a non-identity element are infinity or the roots of a quadratic read off
 its matrix, so they all lie on P^1(F_{q^2}) and come from the quadratic
-formula, without scanning any extension, once per cyclic subgroup, since
-every non-identity power of an element shares its fixed points; they are
-the basis of the ramification audit.  Element orders come from the matrix too (see
-:meth:`moebius.Moebius.order`).
+formula, without scanning any extension, once per fixed-point equation,
+since elements with the same equation share their fixed points; they are
+the basis of the ramification audit.  Element orders come from the matrix
+too (see :meth:`moebius.Moebius.order`).
 """
 
 from __future__ import annotations
@@ -196,34 +196,34 @@ def nonregular_orbits(G: Subgroup) -> tuple[Orbit, ...]:
     Every point with a nontrivial stabilizer is a fixed point of some
     non-identity element, hence lies on P^1(F_{q^2}); it suffices to decompose
     the union of those fixed points, found as encodings over one F_{q^2}.
-    A non-identity power of g fixes g's fixed points and has no others (at
-    most two over the closure, one when unipotent), so the quadratic is
-    solved once per cyclic subgroup <g>, for the first g in G's order not
-    yet met as a power; each point found is then checked to be fixed by
-    every element it is credited to, one image each.
+    Elements with the same :func:`moebius.fixed_point_equation` fix the same
+    points (at most two over the closure, one when unipotent), so the
+    equation is solved once, by the first element of G's order that has it;
+    each point found is then checked to be fixed by every other element with
+    that equation, one image each.
     """
     if len(G) == 1:
         return ()
-    ext = gf.extension_of(G.ctx, 2)
-    image = mo.image
+    ctx = G.ctx
+    ext = gf.extension_of(ctx, 2)
+    image, equation = mo.image, mo.fixed_point_equation
     fixed_by: dict[tuple, tuple[int, ...]] = {}
     candidates: set[int] = set()
     for s in G:
         key = s.key()
         if key == mo.IDENTITY_KEY:
             continue
-        points = fixed_by.get(key)
+        eq = equation(ctx, key)
+        points = fixed_by.get(eq)
         if points is None:
-            # solved and checked by fixed_encodings; shared by the powers of s
-            points = s.fixed_encodings(ext)
+            # solved and checked by fixed_encodings
+            points = fixed_by[eq] = s.fixed_encodings(ext)
             candidates.update(points)
-            for t in s.powers():
-                fixed_by.setdefault(t.key(), points)
             continue
         for x in points:
             if image(ext, key, x) != x:
                 raise InvariantViolation(f"{s} moves the fixed point {mo.point_of(ext, x)} "
-                                         "of its cyclic subgroup")
+                                         "of its fixed-point equation")
     orbits = _orbits(G, sorted(candidates), ext)
     for orbit in orbits:
         if not candidates.issuperset(-1 if z.value is None else z.value.rep

@@ -403,14 +403,15 @@ def _torus_fibres(ctx: gf.FieldCtx, entries: list) -> list | None:
 
 
 def monic_companion(ctx: gf.FieldCtx, key: tuple) -> list:
-    """Encoded coefficients, low to high, of c*T^(q+1) + d*T^q - a*T - b
-    divided by c, for encoded entries (a, b, c, d) over F_q with c != 0."""
+    """Encoded coefficients, low to high, of c*T^(q+1) + d*T^q - a*T - b for
+    encoded entries (a, b, c, d) over F_q, divided by its leading
+    coefficient: c, or d when c = 0, where the degree is q."""
     a, b, c, d = key
-    mul, inv_c = ctx.mul, ctx.inv(c)
+    mul, inv_lead = ctx.mul, ctx.inv(c or d)
     q = ctx.order
-    out = [0] * (q + 2)
-    out[0], out[1] = ctx.neg(mul(b, inv_c)), ctx.neg(mul(a, inv_c))
-    out[q], out[q + 1] = mul(d, inv_c), 1
+    out = [0] * (q + 2 if c else q + 1)
+    out[0], out[1] = ctx.neg(mul(b, inv_lead)), ctx.neg(mul(a, inv_lead))
+    out[q], out[-1] = mul(d, inv_lead), 1
     return out
 
 

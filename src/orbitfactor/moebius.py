@@ -122,6 +122,22 @@ def image(F: gf.FieldCtx, key: tuple, x: int) -> int:
     return mul(add(mul(a, x), b), F.inv(den))
 
 
+def fixed_point_equation(ctx: gf.FieldCtx, key: tuple) -> tuple[int, int]:
+    """The fixed-point equation of the non-identity map with key (a, b, c, d),
+    as a pair of encodings: (beta, gamma) = ((d-a)/c, -b/c) for
+    T^2 + beta*T + gamma = 0 when c != 0; (-1, b/(d-a)) for infinity and
+    b/(d-a) when c = 0 and d != a; (-1, -1) for infinity alone when c = 0
+    and d = a.  Maps with equal equations fix the same points over every
+    extension.
+    """
+    a, b, c, d = key
+    mul, sub = ctx.mul, ctx.sub
+    if not c:
+        return (-1, -1) if d == a else (-1, mul(b, ctx.inv(sub(d, a))))
+    inv_c = ctx.inv(c)
+    return mul(sub(d, a), inv_c), ctx.neg(mul(b, inv_c))
+
+
 class Moebius:
     """x -> (ax+b)/(cx+d) with ad - bc != 0, held as its normalized key.
 
@@ -299,25 +315,23 @@ class Moebius:
         """The fixed points on P^1(ext), for ext an extension of the field,
         as sorted encodings with -1 for infinity; at most two.
 
-        z = (az+b)/(cz+d) in closed form: for c = 0 the points are infinity
-        and b/(d-a) when d != a, otherwise the roots of T^2 + ((d-a)/c)T - b/c
-        by :meth:`gf.FieldCtx.quadratic_roots` over ext.  Each is checked to
-        be fixed.
+        z = (az+b)/(cz+d) in closed form, from :func:`fixed_point_equation`:
+        for c = 0 the points are infinity and b/(d-a) when d != a, otherwise
+        the roots of T^2 + ((d-a)/c)T - b/c by
+        :meth:`gf.FieldCtx.quadratic_roots` over ext.  Each is checked to be
+        fixed.
         """
         if self._key == IDENTITY_KEY:
             raise IdentityInputError("every point is fixed by the identity")
         ctx = self.ctx
         if ext is not ctx and not gf.is_subctx(ctx, ext):
             raise CtxMismatchError(f"{ctx} does not embed into {ext}")
-        mul, sub = ctx.mul, ctx.sub
-        a, b, c, d = key = self._key
-        if not c:
-            out = [-1]
-            if d != a:
-                out.append(mul(b, ctx.inv(sub(d, a))))
+        key = self._key
+        beta, gamma = fixed_point_equation(ctx, key)
+        if beta < 0:
+            out = [-1] if gamma < 0 else [-1, gamma]
         else:
-            inv_c = ctx.inv(c)
-            out = list(ext.quadratic_roots(mul(sub(d, a), inv_c), ctx.neg(mul(b, inv_c))))
+            out = list(ext.quadratic_roots(beta, gamma))
         for x in out:
             if image(ext, key, x) != x:
                 raise InvariantViolation(f"{self} moves its computed fixed point "

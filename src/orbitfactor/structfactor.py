@@ -7,20 +7,20 @@ generated by s, specialized in its linear one-parameter family at some
 lambda in F_q.  That family is read off two fibres of its parameter, the
 orbit of infinity and one more (see :func:`invariants.orbit_family`),
 without expanding the orbit polynomial over F_q(x).  The factors are found
-by sweeping lambda over F_q, using only F_q arithmetic (for s of order q+1
-the second fibre is a companion polynomial, so no extension field is
-built), and the result is cross-checked against exact reconstruction of
-the input.
+by sweeping lambda over F_q, using only F_q arithmetic on encoded
+coefficient lists (for s of order q+1 the second fibre is a companion
+polynomial, so no extension field is built), and the result is
+cross-checked against exact reconstruction of the input.
 
 The family is also the invariant: the generator of the invariant field of
 G is f/g = -B/Ahat, read off the family (see
 :func:`invariants.invariant_generator`), so every f - lambda*g is the family
-member F_lambda = sum of (a_i*lambda + b_i) T^i, and
-:func:`invariants.family_member` is the one place it is built.  For s of
-order exactly q+1, every F_lambda is, up to a unit, the companion
-polynomial of one element s + nu of <s> (the matrix of s plus nu times the
-identity), so :func:`lambda_family_report` reads each factor degree off
-that element's order.
+member F_lambda = sum of (a_i*lambda + b_i) T^i, one ``ctx.addmul`` of the
+encoded b_i and a_i (:func:`invariants.family_member` returns it as a
+polynomial).  For s of order exactly q+1, every F_lambda is, up to a unit,
+the companion polynomial of one element s + nu of <s> (the matrix of s plus
+nu times the identity), so :func:`lambda_family_report` reads each factor
+degree off that element's order.
 """
 
 from __future__ import annotations
@@ -125,55 +125,68 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     it is the last factor, and its lambda is its coefficient at the
     parameter index j (a_j = 1 and b_j = 0), checked by rebuilding
     F_lambda; so a single factor, as for order q+1, tries no lambda.
+
+    The sweep runs on encoded coefficient lists, from
+    :func:`invariants.monic_companion` through the stripping, each F_lambda
+    (one ``addmul``) and the check that unit times the product of the
+    factors is the companion, with the kernels :func:`upoly.encoded_divmod`
+    and :func:`upoly.encoded_mul`; polynomials are built for the result only.
     """
     if s.is_identity():
         raise IdentityInputError("companion of the identity is T^q - T; nothing structured")
     ctx = s.ctx
-    ps = frobenius_companion(s)
-    unit = ps.lc()
-    work = ps.monic()
-    one = ctx.one()
+    work = inv.monic_companion(ctx, s.key())
 
     removed = []
-    for z in s.fixed_points(1):
-        if z.value is None:
+    for z in s.fixed_encodings(ctx):
+        if z < 0:
             continue
-        lin = upoly.Poly(ctx, (-z.value, one))
-        work, rem = divmod(work, lin)
+        lin = [ctx.neg(z), 1]
+        work, rem = upoly.encoded_divmod(ctx, work, lin)
         if rem:
             raise InvariantViolation("finite fixed point is not a root of the companion")
         removed.append(lin)
 
     G = go.Subgroup(ctx, s.powers())
     r = len(G)
-    if work.deg % r:
+    if (len(work) - 1) % r:
         raise InvariantViolation("stripped degree is not a multiple of the order")
 
     family, j = inv.orbit_family(G)
     if len(family) != r + 1:
         raise InvariantViolation("orbit polynomial degree differs from the order")
-    factors = []
-    for lam in ctx.elements():
-        if work.deg <= r:
+    a_vec = [a_i.rep for a_i, _ in family]
+    b_vec = [b_i.rep for _, b_i in family]
+    addmul = ctx.addmul
+    found = []
+    for lam in range(ctx.order):
+        if len(work) <= r + 1:
             break
-        candidate = inv.family_member(ctx, family, lam)
-        quotient, rem = divmod(work, candidate)
+        candidate = addmul(b_vec, lam, a_vec)  # F_lambda, encoded
+        quotient, rem = upoly.encoded_divmod(ctx, work, candidate)
         if not rem:
             work = quotient
-            factors.append(FactorEntry(candidate, mo.ProjPoint(lam)))
-    if work.deg:
+            found.append((candidate, lam))
+    if len(work) > 1:
         # the last factor is the remainder: a_j = 1 and b_j = 0, so its
         # lambda is its coefficient at j
-        lam = work.coeffs[j]
-        if work.deg != r or inv.family_member(ctx, family, lam) != work:
+        if len(work) != r + 1 or addmul(b_vec, work[j], a_vec) != work:
             raise InvariantViolation("the family does not exhaust the remainder")
-        factors.append(FactorEntry(work, mo.ProjPoint(lam)))
-    factors.sort(key=lambda e: e.poly.key())
+        found.append((work, work[j]))
+    found.sort()  # all of degree r, so this is the order of Poly.key()
 
-    result = StructuredFactorization(ps, unit, tuple(removed), tuple(factors), r, family)
-    if result.reconstruct() != ps:
+    ps = frobenius_companion(s)
+    unit = ps.lc()
+    product = [unit.rep]
+    for f in removed + [f for f, _ in found]:
+        product = upoly.encoded_mul(ctx, f, product)
+    if product != [c.rep for c in ps.coeffs]:
         raise InvariantViolation("structured factors do not reconstruct the input")
-    return result
+    decode = ctx.decode
+    linears = tuple(upoly.Poly(ctx, list(map(decode, f))) for f in removed)
+    factors = tuple(FactorEntry(upoly.Poly(ctx, list(map(decode, f))),
+                                mo.ProjPoint(decode(lam))) for f, lam in found)
+    return StructuredFactorization(ps, unit, linears, factors, r, family)
 
 
 # -- families over all lambda ----------------------------------------------------

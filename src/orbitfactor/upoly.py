@@ -1,5 +1,9 @@
 """Dense univariate polynomials over a FieldCtx, plus a factorization oracle.
 
+Products and division with remainder run on encoded coefficient lists in
+:func:`encoded_mul` and :func:`encoded_divmod`; ``Poly`` wraps them, and
+callers that work on encodings call them directly.
+
 The oracle is the standard pipeline: squarefree decomposition, distinct-degree
 splitting, then randomized equal-degree splitting (trace-map variant in
 characteristic 2).  Randomness is drawn from a generator seeded by the input
@@ -138,29 +142,9 @@ class Poly:
         if isinstance(other, int):
             return self.scale(self.ctx.elem(other))
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.ctx)
         ctx = self.ctx
-        ar = [c.rep for c in a]
-        br = [c.rep for c in b]
-        out = [0] * (len(ar) + len(br) - 1)
-        tables = ctx.tables()
-        if tables is not None:
-            add_t, mul_t = tables[0], tables[1]
-            for i, ai in enumerate(ar):
-                if ai:
-                    row = mul_t[ai]
-                    for j, bj in enumerate(br):
-                        if bj:
-                            k = i + j
-                            out[k] = add_t[out[k]][row[bj]]
-        else:
-            addmul, n = ctx.addmul, len(br)
-            for i, ai in enumerate(ar):
-                if ai:
-                    out[i:i + n] = addmul(out[i:i + n], ai, br)
-        return Poly(ctx, [ctx.decode(c) for c in out])
+        out = encoded_mul(ctx, [c.rep for c in self.coeffs], [c.rep for c in other.coeffs])
+        return Poly(ctx, list(map(ctx.decode, out)))
 
     __rmul__ = __mul__
 
@@ -169,35 +153,10 @@ class Poly:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         ctx = self.ctx
-        num = [c.rep for c in self.coeffs]
-        den = [c.rep for c in other.coeffs]
-        dl = len(den)
-        if len(num) < dl:
-            return Poly.zero(ctx), self
-        q = [0] * (len(num) - dl + 1)
-        # num[i + j] += (-c) * den[j] for each quotient coefficient c
-        tables = ctx.tables()
-        if tables is not None:
-            add_t, mul_t, neg_t, inv_t = tables
-            inv_lead = inv_t[den[-1]]
-            for i in range(len(num) - dl, -1, -1):
-                c = mul_t[num[i + dl - 1]][inv_lead]
-                if c:
-                    q[i] = c
-                    row = mul_t[neg_t[c]]
-                    for j, dj in enumerate(den):
-                        if dj:
-                            num[i + j] = add_t[num[i + j]][row[dj]]
-        else:
-            inv_lead = ctx.inv(den[-1])
-            for i in range(len(num) - dl, -1, -1):
-                c = ctx.mul(num[i + dl - 1], inv_lead)
-                if c:
-                    q[i] = c
-                    num[i:i + dl] = ctx.addmul(num[i:i + dl], ctx.neg(c), den)
+        quo, rem = encoded_divmod(ctx, [c.rep for c in self.coeffs],
+                                  [c.rep for c in other.coeffs])
         decode = ctx.decode
-        return (Poly(ctx, [decode(c) for c in q]),
-                Poly(ctx, [decode(c) for c in num[: dl - 1]]))
+        return Poly(ctx, list(map(decode, quo))), Poly(ctx, list(map(decode, rem)))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -235,6 +194,71 @@ class Poly:
 
     def pow(self, e: int) -> "Poly":
         return gf._power(Poly.__mul__, self, e, Poly.one(self.ctx))
+
+
+# -- kernels on encoded coefficient lists --------------------------------------------
+#
+# A polynomial is a list of encodings over ctx, low to high, with no trailing
+# zero; [] is zero.  Fields with 2-D tables look up each product and sum;
+# log-array and computed fields take one ctx.addmul per row.
+
+
+def encoded_mul(ctx: gf.FieldCtx, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of a and b; [] when either is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    tables = ctx.tables()
+    if tables is not None:
+        add_t, mul_t = tables[0], tables[1]
+        for i, ai in enumerate(a):
+            if ai:
+                row = mul_t[ai]
+                for k, bj in enumerate(b, i):
+                    if bj:
+                        out[k] = add_t[out[k]][row[bj]]
+    else:
+        addmul, n = ctx.addmul, len(b)
+        for i, ai in enumerate(a):
+            if ai:
+                out[i:i + n] = addmul(out[i:i + n], ai, b)
+    return out
+
+
+def encoded_divmod(ctx: gf.FieldCtx, num: Sequence[int],
+                   den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of num by the nonzero den; the inputs are not
+    changed."""
+    dl = len(den)
+    if len(num) < dl:
+        return [], list(num)
+    num = list(num)
+    quo = [0] * (len(num) - dl + 1)
+    # num[i + j] += (-c) * den[j] for each quotient coefficient c
+    tables = ctx.tables()
+    if tables is not None:
+        add_t, mul_t, neg_t, inv_t = tables
+        inv_lead = inv_t[den[-1]]
+        for i in range(len(num) - dl, -1, -1):
+            c = mul_t[num[i + dl - 1]][inv_lead]
+            if c:
+                quo[i] = c
+                row = mul_t[neg_t[c]]
+                for k, dj in enumerate(den, i):
+                    if dj:
+                        num[k] = add_t[num[k]][row[dj]]
+    else:
+        mul, neg, addmul = ctx.mul, ctx.neg, ctx.addmul
+        inv_lead = ctx.inv(den[-1])
+        for i in range(len(num) - dl, -1, -1):
+            c = mul(num[i + dl - 1], inv_lead)
+            if c:
+                quo[i] = c
+                num[i:i + dl] = addmul(num[i:i + dl], neg(c), den)
+    rem = num[:dl - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
 
 
 def gcd(f: Poly, g: Poly) -> Poly:

@@ -35,7 +35,8 @@ def run_cli(capsys, *argv):
 # --lambda [0,0], and invariant --pgl over F_3 and over F_7 (degree 336,
 # where pgl_generator checks invariance at points instead of by composition;
 # and lambda-report over F_8 and F_9, and orbit-poly and orbits --ext 2 of
-# <x+1, 1/x> over F_8, whose ramification audit runs over F_64)
+# <x+1, 1/x> over F_8, whose ramification audit runs over F_64; and factor
+# over F_263, in the computed tier, of -1/x and of -x, which has c = 0)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

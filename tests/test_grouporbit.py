@@ -243,10 +243,43 @@ def test_nonregular_orbits_match_the_per_element_search(name):
 
 
 def test_nonregular_orbits_check_every_element(monkeypatch, F7):
-    # fixed points credited to a power of the first element of a cyclic
-    # subgroup are still checked against that power
+    # the points solved for a fixed-point equation are checked against every
+    # other element with that equation: a wrong point, returned for the
+    # first element with the equation (T^2 - 1 for 1/x), is caught
     G = go.full_pgl(F7)
-    monkeypatch.setattr(mo.Moebius, "powers",
-                        lambda s: [s, s.compose(mo.Moebius.from_ints(F7, 1, 1, 0, 1))])
+    ext = gf.extension_of(F7, 2)
+    target = mo.fixed_point_equation(F7, (0, 1, 1, 0))
+    sharing = [s for s in G if not s.is_identity()
+               and mo.fixed_point_equation(F7, s.key()) == target]
+    assert len(sharing) > 1
+    solve, calls = mo.Moebius.fixed_encodings, []
+
+    def wrong_for_target(s, field):
+        points = solve(s, field)
+        if mo.fixed_point_equation(F7, s.key()) != target:
+            return points
+        calls.append(s)
+        return points[:-1] + (next(x for x in range(ext.order) if x not in points),)
+
+    monkeypatch.setattr(mo.Moebius, "fixed_encodings", wrong_for_target)
     with pytest.raises(InvariantViolation, match="moves the fixed point"):
         go.nonregular_orbits(G)
+    assert calls == sharing[:1]
+
+
+@pytest.mark.parametrize("p,m,sets", [(5, 1, 31), (3, 2, 91), (2, 3, 73)])
+def test_nonregular_orbits_solve_each_fixed_point_set_once(monkeypatch, p, m, sets):
+    ctx = gf.field_create(p, m)
+    G = go.full_pgl(ctx)
+    ext = gf.extension_of(ctx, 2)
+    distinct = {s.fixed_encodings(ext) for s in G if not s.is_identity()}
+    assert len(distinct) == sets
+    solve, calls = mo.Moebius.fixed_encodings, []
+
+    def counted(s, field):
+        calls.append(s)
+        return solve(s, field)
+
+    monkeypatch.setattr(mo.Moebius, "fixed_encodings", counted)
+    go.nonregular_orbits(G)
+    assert len(calls) == sets

@@ -190,6 +190,131 @@ def test_factor_by_orbit_rejects_a_bent_family(monkeypatch, field, text):
         sf.factor_by_orbit(s)
 
 
+def _reference_factor_by_orbit(s):
+    """factor_by_orbit as it ran on Poly objects before the sweep moved to
+    encoded lists: the reference for the encoded sweep."""
+    ctx = s.ctx
+    ps = sf.frobenius_companion(s)
+    unit = ps.lc()
+    work = ps.monic()
+    one = ctx.one()
+    removed = []
+    for z in s.fixed_points(1):
+        if z.value is None:
+            continue
+        lin = upoly.Poly(ctx, (-z.value, one))
+        work, rem = divmod(work, lin)
+        assert not rem
+        removed.append(lin)
+    G = go.Subgroup(ctx, s.powers())
+    r = len(G)
+    assert work.deg % r == 0
+    family, j = inv.orbit_family(G)
+    assert len(family) == r + 1
+    factors = []
+    for lam in ctx.elements():
+        if work.deg <= r:
+            break
+        candidate = inv.family_member(ctx, family, lam)
+        quotient, rem = divmod(work, candidate)
+        if not rem:
+            work = quotient
+            factors.append(sf.FactorEntry(candidate, mo.ProjPoint(lam)))
+    if work.deg:
+        lam = work.coeffs[j]
+        assert work.deg == r and inv.family_member(ctx, family, lam) == work
+        factors.append(sf.FactorEntry(work, mo.ProjPoint(lam)))
+    factors.sort(key=lambda e: e.poly.key())
+    result = sf.StructuredFactorization(ps, unit, tuple(removed), tuple(factors), r, family)
+    assert result.reconstruct() == ps
+    return result
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_factor_by_orbit_matches_the_poly_reference(p, m):
+    ctx = gf.field_create(p, m)
+    kinds = set()
+    for key in go.pgl_keys(ctx):
+        s = mo.Moebius.from_key(ctx, key)
+        if s.is_identity():
+            continue
+        assert sf.factor_by_orbit(s) == _reference_factor_by_orbit(s)
+        kinds.add((s.classify(), key[2] == 0))
+    assert ctx.order == 2 or {(mo.MoebiusClass.SPLIT, True), (mo.MoebiusClass.UNIPOTENT, True),
+            (mo.MoebiusClass.SPLIT, False), (mo.MoebiusClass.UNIPOTENT, False),
+            (mo.MoebiusClass.NONSPLIT, False)} <= kinds
+
+
+def _small_order_powers(ctx):
+    """s^(o/r) for 1 < r <= 40 dividing the order o of x+1, of the first
+    x/d of order q-1 and of the first 1/(cx+d) of order q+1."""
+    q = ctx.order
+    split = next(s for s in (mo.Moebius.from_key(ctx, (1, 0, 0, d)) for d in range(2, q))
+                 if s.order() == q - 1)
+    nonsplit = next(s for s in (mo.Moebius.from_key(ctx, (0, 1, c, d))
+                                for c in range(1, q) for d in range(q))
+                    if s.order() == q + 1)
+    for s in (mo.Moebius.from_key(ctx, (1, 1, 0, 1)), split, nonsplit):
+        o = s.order()
+        for r in range(2, 41):
+            if o % r == 0:
+                yield s.power(o // r)
+
+
+@pytest.mark.parametrize("p,m", [(263, 1), (7, 3), (2, 9), (5, 4)])
+def test_factor_by_orbit_matches_the_poly_reference_on_small_orders(p, m):
+    ctx = gf.field_create(p, m)
+    count = 0
+    for s in _small_order_powers(ctx):
+        assert sf.factor_by_orbit(s) == _reference_factor_by_orbit(s)
+        count += 1
+    assert count >= 6
+
+
+def test_factor_by_orbit_rejects_a_fixed_point_that_is_not_a_root(monkeypatch, F7):
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+    moved = next(x for x in range(7) if mo.image(F7, s.key(), x) != x)
+    solve = mo.Moebius.fixed_encodings
+    monkeypatch.setattr(mo.Moebius, "fixed_encodings",
+                        lambda t, ext: solve(t, ext) + (moved,))
+    with pytest.raises(InvariantViolation, match="is not a root of the companion"):
+        sf.factor_by_orbit(s)
+
+
+def test_factor_by_orbit_rejects_a_degree_off_the_order(monkeypatch, F7):
+    # 2x fixes infinity and 0; without 0 stripped, T(4T^6 - 1) keeps degree
+    # 7, not a multiple of the order 3
+    s = mo.parse_moebius(F7, "2x")
+    assert s.order() == 3 and s.fixed_encodings(F7) == (-1, 0)
+    monkeypatch.setattr(mo.Moebius, "fixed_encodings", lambda t, ext: (-1,))
+    with pytest.raises(InvariantViolation, match="not a multiple of the order"):
+        sf.factor_by_orbit(s)
+
+
+def test_factor_by_orbit_rejects_a_family_of_the_wrong_length(monkeypatch, F7):
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+    family, j = inv.orbit_family(go.Subgroup(F7, s.powers()))
+    longer = family + ((F7.zero(), F7.one()),)
+    monkeypatch.setattr(inv, "orbit_family", lambda G: (longer, j))
+    with pytest.raises(InvariantViolation, match="degree differs from the order"):
+        sf.factor_by_orbit(s)
+
+
+@pytest.mark.parametrize("text", ["(3x-1)/(x+3)", "2x", "x+1", "(1)/(x)"])
+def test_factor_by_orbit_checks_the_reconstruction(monkeypatch, F7, text):
+    s = mo.parse_moebius(F7, text)
+    product = upoly.encoded_mul
+
+    def off_by_one(ctx, a, b):
+        out = product(ctx, a, b)
+        out[0] = ctx.add(out[0], 1)
+        return out
+
+    monkeypatch.setattr(upoly, "encoded_mul", off_by_one)
+    with pytest.raises(InvariantViolation, match="do not reconstruct the input"):
+        sf.factor_by_orbit(s)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_split_involution_vs_nonsplit_involution(p):
     # split: two rational fixed points -> stripped linears then quadratics

@@ -275,3 +275,84 @@ def test_irreducibility_matches_factor_count(f):
     fac = upoly.factorize(f)
     single = len(fac.factors) == 1 and fac.factors[0][1] == 1
     assert upoly.is_irreducible(f) == single
+
+
+# -- the encoded kernels against a schoolbook on FieldElems -------------------------
+
+KERNEL_FIELDS = [(7, 1), (2, 2), (2, 8),   # 2-D tables
+                 (5, 4), (2, 10),          # log arrays
+                 (263, 1), (2, 13)]        # computed
+
+
+def _school_mul(ctx, a, b):
+    out = [ctx.zero()] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _school_divmod(ctx, num, den):
+    num = list(num)
+    quo = [ctx.zero()] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1] / den[-1]
+        quo[i] = c
+        for j, dj in enumerate(den):
+            num[i + j] = num[i + j] - c * dj
+    return quo, num[:len(den) - 1]
+
+
+def _trimmed(ctx, elems):
+    out = [x.rep for x in elems]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _random_encoded(ctx, rng, length, monic=False):
+    """length coefficients, with a nonzero (or, if monic, unit) lead; [] for 0."""
+    if not length:
+        return []
+    lead = 1 if monic else rng.randrange(1, ctx.order)
+    return [rng.randrange(ctx.order) for _ in range(length - 1)] + [lead]
+
+
+@pytest.mark.parametrize("p,m", KERNEL_FIELDS)
+def test_encoded_mul_matches_the_schoolbook(p, m):
+    ctx = gf.field_create(p, m)
+    rng = random.Random(f"mul/{ctx.order}")
+    cases = [([], []), ([], [1]), ([1], [])]  # zero operands
+    cases += [(_random_encoded(ctx, rng, rng.randrange(1, 9)),
+               _random_encoded(ctx, rng, rng.randrange(1, 9))) for _ in range(40)]
+    cases += [([0, 0, 1], [0, 1]), ([1], _random_encoded(ctx, rng, 6))]
+    for a, b in cases:
+        want = _school_mul(ctx, [ctx.decode(x) for x in a], [ctx.decode(x) for x in b])
+        assert upoly.encoded_mul(ctx, a, b) == _trimmed(ctx, want)
+
+
+@pytest.mark.parametrize("p,m", KERNEL_FIELDS)
+def test_encoded_divmod_matches_the_schoolbook(p, m):
+    ctx = gf.field_create(p, m)
+    rng = random.Random(f"divmod/{ctx.order}")
+    cases = []
+    for _ in range(40):  # non-monic divisors, numerators of any length
+        cases.append((_random_encoded(ctx, rng, rng.randrange(0, 12)),
+                      _random_encoded(ctx, rng, rng.randrange(1, 6))))
+    for _ in range(10):  # exact division by monic and non-monic divisors
+        den = _random_encoded(ctx, rng, rng.randrange(1, 5), monic=rng.random() < 0.5)
+        cases.append((upoly.encoded_mul(ctx, _random_encoded(ctx, rng, rng.randrange(1, 6)),
+                                        den), den))
+    cases += [([], [1]), ([], _random_encoded(ctx, rng, 3)),             # zero numerator
+              (_random_encoded(ctx, rng, 2), _random_encoded(ctx, rng, 4)),  # shorter
+              (_random_encoded(ctx, rng, 5), [rng.randrange(1, ctx.order)])]  # constant
+    exact = 0
+    for num, den in cases:
+        want_q, want_r = _school_divmod(ctx, [ctx.decode(x) for x in num],
+                                        [ctx.decode(x) for x in den])
+        snapshot = (list(num), list(den))
+        quo, rem = upoly.encoded_divmod(ctx, num, den)
+        assert (quo, rem) == (_trimmed(ctx, want_q), _trimmed(ctx, want_r))
+        assert (num, den) == snapshot  # the inputs are not changed
+        exact += bool(num) and not rem
+    assert exact >= 10
