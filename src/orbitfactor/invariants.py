@@ -9,7 +9,10 @@ the family off two fibres of t: the orbit of infinity, where t has its
 poles, gives the slopes, and one more orbit gives the constants, each a
 product of |G| linear factors, O(|G|^2) operations in F_q, or in F_{q^2}
 for a transitive group other than the nonsplit torus, whose second fibre
-is a companion polynomial over F_q.
+is a companion polynomial over F_q.  For a cyclic group <s>,
+:func:`cyclic_family` reads the same family off orbit walks of s alone, on
+encodings: O(r) images for r = order(s), plus O(r^2) for the orbit products,
+or O(q) when <s> is the torus, whose slopes are T^q - T in closed form.
 :func:`orbit_polynomial` builds the rational-function coefficients from the
 family in closed form, without a gcd, and the generator of the invariant
 field is its parameter t = -B/Ahat as it stands (Ahat = sum of a_i x^i,
@@ -360,14 +363,92 @@ def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
             field = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), ctx.order ** 2))
     if fibres is None:
         fibres = _orbit_fibres(field, entries, seen)
+    b_vec = _affine_constants(field, a_vec, j, fibres)
+    family = tuple((ctx.decode(a), gf.down_cast(field.decode(b), ctx))
+                   for a, b in zip(a_vec, b_vec))
+    return family, j
+
+
+def _affine_constants(field: gf.FieldCtx, a_vec: list, j: int, fibres: list) -> list:
+    """The encoded constants b_i = c_i - c_j*a_i of the first fibre c of a
+    family with encoded slopes a_i and parameter index j; every further
+    fibre is checked to lie on the family."""
     c, *rest = fibres
     b_vec = field.addmul(c, field.neg(c[j]), a_vec)
     for c2 in rest:
         if field.addmul(b_vec, c2[j], a_vec) != c2:
             raise InvariantViolation("orbit polynomial coefficients not affine in the parameter")
-    family = tuple((ctx.decode(a), gf.down_cast(field.decode(b), ctx))
-                   for a, b in zip(a_vec, b_vec))
-    return family, j
+    return b_vec
+
+
+def cyclic_family(s: mo.Moebius) -> tuple[list, list, int]:
+    """(a_vec, b_vec, j): the family of <s>, as :func:`orbit_family` gives
+    it for G = <s>, on encodings, read off orbit walks of s alone, one
+    :func:`moebius.image` per step, with no list of powers and no Subgroup.
+
+    With r = order(s), a point whose orbit has length l has a stabilizer of
+    order r/l in <s>, so its fibre prod over G of (T - g(z)) is the product
+    over its orbit raised to r/l; every l is checked to divide r.  The walk
+    from infinity gives the slopes, A = (prod over its finite points of
+    (T - w))^(r/l), or 1 when s fixes infinity.  When that orbit is all of
+    P^1(F_q), <s> has order q+1 and is the nonsplit torus: A = T^q - T in
+    closed form, so j = 1, and the fibres are the companions of s and s^2
+    (see :func:`_torus_fibres`), O(q) work.  Otherwise the fibres are the
+    walks from the first two points of F_q, in encoding order, outside the
+    orbits already walked, O(r^2) each.  For r > 2 dividing q+1 the lines
+    of the elements are pairwise non-proportional (see
+    :func:`_check_distinct_lines`): g's numerator vanishes at g^-1(0) and
+    its denominator at g^-1(inf), so that holds exactly when the walks from
+    0 and from infinity both have length r.  0 lies on the orbit of
+    infinity or is the first fibre point, so no walk is added for it.
+    """
+    ctx = s.ctx
+    key = s.key()
+    q = ctx.order
+    r = s.order()
+    at_inf = _orbit_walk(ctx, key, -1, r)
+    if len(at_inf) == q + 1:
+        a_vec = [0] * (r + 1)
+        a_vec[1], a_vec[q] = 1, ctx.neg(1)  # (T^q - T)/(-1)
+        j = 1
+        fibres = [monic_companion(ctx, key), monic_companion(ctx, s.compose(s).key())]
+        at_zero = at_inf
+    else:
+        finite = at_inf[1:]
+        A = _expand_roots(ctx, finite * (r // len(at_inf)))
+        j = next(i for i, a in enumerate(A) if a)
+        scale = ctx.inv(A[j])
+        a_vec = [ctx.mul(a, scale) for a in A] + [0] * (r + 1 - len(A))
+        seen = set(finite)
+        orbits = []
+        for z in range(q):
+            if len(orbits) == 2:
+                break
+            if z not in seen:
+                orbit = _orbit_walk(ctx, key, z, r)
+                orbits.append(orbit)
+                seen.update(orbit)
+        fibres = [_expand_roots(ctx, orbit * (r // len(orbit))) for orbit in orbits]
+        at_zero = at_inf if 0 in finite else orbits[0]
+    if r > 2 and (q + 1) % r == 0 and not len(at_inf) == len(at_zero) == r:
+        raise InvariantViolation("proportional numerator or denominator lines "
+                                 "in a fixed-point-free cyclic group")
+    return a_vec, _affine_constants(ctx, a_vec, j, fibres), j
+
+
+def _orbit_walk(F: gf.FieldCtx, key: tuple, x: int, r: int) -> list:
+    """The orbit x, s(x), s^2(x), ... of the point x of P^1(F), an encoding
+    or -1 for infinity, under the map s with key `key` and order r; raises
+    unless its length divides r."""
+    orbit = [x]
+    y = mo.image(F, key, x)
+    while y != x and len(orbit) < r:
+        orbit.append(y)
+        y = mo.image(F, key, y)
+    if y != x or r % len(orbit):
+        raise InvariantViolation(f"orbit-stabilizer identity fails on the orbit of "
+                                 f"{mo.point_of(F, x)}")
+    return orbit
 
 
 def _torus_fibres(ctx: gf.FieldCtx, entries: list) -> list | None:

@@ -5,12 +5,14 @@ by s(x) = (ax+b)/(cx+d).  After the rational fixed points of s are stripped,
 every irreducible factor is the orbit polynomial of the cyclic group
 generated by s, specialized in its linear one-parameter family at some
 lambda in F_q.  That family is read off two fibres of its parameter, the
-orbit of infinity and one more (see :func:`invariants.orbit_family`),
-without expanding the orbit polynomial over F_q(x).  The factors are found
-by sweeping lambda over F_q, using only F_q arithmetic on encoded
-coefficient lists (for s of order q+1 the second fibre is a companion
-polynomial, so no extension field is built), and the result is
-cross-checked against exact reconstruction of the input.
+orbit of infinity and one more, each walked under s alone (see
+:func:`invariants.cyclic_family`), without the powers of s and without
+expanding the orbit polynomial over F_q(x).  The factors are found by
+sweeping lambda over F_q, using only F_q arithmetic on encoded coefficient
+lists (for s of order q+1 the slopes are T^q - T and the fibres companion
+polynomials, so no extension field is built and no orbit product is
+expanded), and the result is cross-checked against exact reconstruction of
+the input.
 
 The family is also the invariant: the generator of the invariant field of
 G is f/g = -B/Ahat, read off the family (see
@@ -116,9 +118,11 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     orbit polynomial of <s> specialized at one of its roots, i.e. the member
     F_lambda of the linear one-parameter family at some lambda in F_q (the
     poles of the parameter are rational, so lambda is never infinite).  The
-    family comes from :func:`invariants.orbit_family` on the powers of s,
-    in F_q arithmetic only: the orbit of infinity gives its slopes and one
-    more fibre its constants, checked at a third fibre when there is one.
+    family comes from :func:`invariants.cyclic_family`, encoded, from orbit
+    walks of s in F_q arithmetic only, with no powers of s and no Subgroup:
+    the orbit of infinity gives its slopes and one more fibre its
+    constants, checked at a third fibre when there is one; it is decoded
+    once, for the result.
     The factors are the F_lambda that divide the remainder, found by
     sweeping lambda over F_q; a degree-r divisor of a squarefree product of
     degree-r irreducibles is one of them.  Once the remainder has degree r
@@ -147,16 +151,13 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
             raise InvariantViolation("finite fixed point is not a root of the companion")
         removed.append(lin)
 
-    G = go.Subgroup(ctx, s.powers())
-    r = len(G)
+    r = s.order()
     if (len(work) - 1) % r:
         raise InvariantViolation("stripped degree is not a multiple of the order")
 
-    family, j = inv.orbit_family(G)
-    if len(family) != r + 1:
+    a_vec, b_vec, j = inv.cyclic_family(s)
+    if len(a_vec) != r + 1:
         raise InvariantViolation("orbit polynomial degree differs from the order")
-    a_vec = [a_i.rep for a_i, _ in family]
-    b_vec = [b_i.rep for _, b_i in family]
     addmul = ctx.addmul
     found = []
     for lam in range(ctx.order):
@@ -186,6 +187,7 @@ def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
     linears = tuple(upoly.Poly(ctx, list(map(decode, f))) for f in removed)
     factors = tuple(FactorEntry(upoly.Poly(ctx, list(map(decode, f))),
                                 mo.ProjPoint(decode(lam))) for f, lam in found)
+    family = tuple((decode(a_i), decode(b_i)) for a_i, b_i in zip(a_vec, b_vec))
     return StructuredFactorization(ps, unit, linears, factors, r, family)
 
 
@@ -239,17 +241,17 @@ def lambda_family_report(s: mo.Moebius) -> LambdaFamilyReport:
     (q+1)/gcd(k, q+1) for w = s^k.  The degree r appears for exactly phi(r)
     values of lambda, for each divisor r > 1 of q+1, and the counts sum
     to q.
+
+    The order is checked first.  The family comes from
+    :func:`invariants.cyclic_family`, encoded; the powers of s serve only
+    to look up the exponent k of each w.
     """
     ctx = s.ctx
     q = ctx.order
-    powers = s.powers()
-    G = go.Subgroup(ctx, powers)
-    if len(G) != q + 1:
+    if s.order() != q + 1:
         raise WrongOrderError(f"order must be exactly q+1 = {q + 1}")
-    exponent = {t.key(): k for k, t in enumerate(powers, 1)}  # t = s^k
-    family, _ = inv.orbit_family(G)
-    a_vec = [a_i.rep for a_i, _ in family]
-    b_vec = [b_i.rep for _, b_i in family]
+    a_vec, b_vec, _ = inv.cyclic_family(s)
+    exponent = {t.key(): k for k, t in enumerate(s.powers(), 1)}  # t = s^k
     a, b, c, d = s.key()
     mul, add, sub = ctx.mul, ctx.add, ctx.sub
     seen = set()

@@ -36,7 +36,10 @@ def run_cli(capsys, *argv):
 # where pgl_generator checks invariance at points instead of by composition;
 # and lambda-report over F_8 and F_9, and orbit-poly and orbits --ext 2 of
 # <x+1, 1/x> over F_8, whose ramification audit runs over F_64; and factor
-# over F_263, in the computed tier, of -1/x and of -x, which has c = 0)
+# over F_263, in the computed tier, of -1/x and of -x, which has c = 0; and
+# factor of tori over F_13 and F_16, whose family is T^q - T with companion
+# fibres, of an order-13 element over F_25 and of an order-12 element over
+# F_263 (22 factors), and lambda-report over F_13)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

@@ -583,3 +583,121 @@ def test_orbit_family_checks_the_stabilizer_at_infinity(F5):
     bent = go.Subgroup(F5, [g for g in G if g != mo.parse_moebius(F5, "-x")])
     with pytest.raises(InvariantViolation, match="orbit-stabilizer"):
         inv.orbit_family(bent)
+
+
+def _assert_cyclic_family_matches(s):
+    """cyclic_family(s), decoded, against orbit_family on the powers of s."""
+    ctx = s.ctx
+    a_vec, b_vec, j = inv.cyclic_family(s)
+    family = tuple((ctx.decode(a), ctx.decode(b)) for a, b in zip(a_vec, b_vec))
+    assert (family, j) == inv.orbit_family(go.Subgroup(ctx, s.powers()))
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                   (11, 1), (13, 1), (2, 4)])
+def test_cyclic_family_matches_orbit_family_on_every_element(field):
+    ctx = gf.field_create(*field)
+    count = 0
+    for key in go.pgl_keys(ctx):
+        s = mo.Moebius.from_key(ctx, key)
+        if not s.is_identity():
+            _assert_cyclic_family_matches(s)
+            count += 1
+    assert count == ctx.order ** 3 - ctx.order - 1
+
+
+@pytest.mark.parametrize("field", [(263, 1), (5, 4), (2, 10)])
+def test_cyclic_family_matches_orbit_family_on_small_orders(field):
+    # s^(o/r) for r <= 40 dividing the order o of seeded random elements:
+    # F_263 in the computed tier, F_625 and F_1024 in the log tier
+    ctx = gf.field_create(*field)
+    rng = random.Random(f"cyclic family {field}")
+    orders = set()
+    for _ in range(12):
+        a, b, c, d = (rng.randrange(ctx.order) for _ in range(4))
+        if ctx.mul(a, d) == ctx.mul(b, c):
+            continue
+        s = mo.Moebius.from_key(ctx, (a, b, c, d))
+        o = s.order()
+        for r in range(2, 41):
+            if o % r == 0:
+                _assert_cyclic_family_matches(s.power(o // r))
+                orders.add(r)
+    assert len(orders) >= 4
+
+
+@pytest.mark.parametrize("p, m, k", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 3, 2)])
+def test_cyclic_family_matches_orbit_family_on_lifts(p, m, k):
+    # the family over F_{q^k} of s lifted from F_q, as factor_general_k uses it
+    ctx = gf.field_create(p, m)
+    ext = gf.extension_of(ctx, k)
+    elements = [s for s in go.full_pgl(ctx) if not s.is_identity()]
+    for s in random.Random(f"lift {p},{m},{k}").sample(elements, min(20, len(elements))):
+        _assert_cyclic_family_matches(s.lift_to(ext))
+
+
+@pytest.mark.parametrize("field, text, order", [
+    ((7, 1), "(3x-1)/(x+3)", 9),  # the walk from infinity, of length 8, does not divide 9
+    ((7, 1), "(3x-1)/(x+3)", 7),  # ... nor closes within 7 steps
+    ((13, 1), "3x", 4),           # the walk from 1, of length 3, does not divide 4
+])
+def test_cyclic_family_checks_each_walk_length(monkeypatch, field, text, order):
+    ctx = gf.field_create(*field)
+    s = mo.parse_moebius(ctx, text)
+    inv.cyclic_family(s)
+    monkeypatch.setattr(mo.Moebius, "order", lambda t: order)
+    with pytest.raises(InvariantViolation, match="orbit-stabilizer"):
+        inv.cyclic_family(s)
+
+
+@pytest.mark.parametrize("point", [0, -1])
+def test_cyclic_family_checks_the_stabilizers_of_zero_and_infinity(monkeypatch, F7, point):
+    # an element of order 4, dividing q+1 = 8, with 0 and infinity in its
+    # two orbits of length 4; the walk from one of them cut to length 2, a
+    # stabilizer of order 2, fails the line check
+    walk = inv._orbit_walk
+    s = next(t for t in go.full_pgl(F7) if t.order() == 4 and 0 not in walk(F7, t.key(), -1, 4))
+    inv.cyclic_family(s)
+    monkeypatch.setattr(inv, "_orbit_walk", lambda F, key, x, r:
+                        walk(F, key, x, r)[:2] if x == point else walk(F, key, x, r))
+    with pytest.raises(InvariantViolation, match="proportional numerator or denominator"):
+        inv.cyclic_family(s)
+
+
+def test_cyclic_family_checks_the_second_torus_fibre(monkeypatch, F7):
+    # the companion of s^2 is the third fibre of the torus <s> of order 8
+    s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
+    companion, calls = inv.monic_companion, []
+
+    def bent_second(ctx, key):
+        out = companion(ctx, key)
+        calls.append(key)
+        if len(calls) == 2:
+            out[2] = ctx.add(out[2], 1)
+        return out
+
+    monkeypatch.setattr(inv, "monic_companion", bent_second)
+    with pytest.raises(InvariantViolation, match="not affine"):
+        inv.cyclic_family(s)
+    assert calls == [s.key(), s.compose(s).key()]
+
+
+def test_cyclic_family_checks_a_third_orbit(monkeypatch):
+    # <3x> over F_13 has order 3 and fixes infinity: the fixed point 0 gives
+    # the constants, and the orbit of 1 is a third orbit
+    F13 = gf.prime_field(13)
+    s = mo.parse_moebius(F13, "3x")
+    expand = inv._expand_roots
+    calls = []
+
+    def bent_third(field, roots):
+        out = expand(field, roots)
+        calls.append(roots)
+        if len(calls) == 3:
+            out[1] = field.add(out[1], 1)  # c_1(1) off the family
+        return out
+
+    monkeypatch.setattr(inv, "_expand_roots", bent_third)
+    with pytest.raises(InvariantViolation, match="not affine"):
+        inv.cyclic_family(s)
+    assert calls == [[], [0, 0, 0], [1, 3, 9]]  # A(T), c(0), c(1)

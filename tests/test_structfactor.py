@@ -179,15 +179,39 @@ def test_order_q_plus_one_needs_no_extension_field(monkeypatch, q):
 def test_factor_by_orbit_rejects_a_bent_family(monkeypatch, field, text):
     ctx = gf.field_create(*field)
     s = mo.parse_moebius(ctx, text)
-    family, j = inv.orbit_family(go.Subgroup(ctx, s.powers()))
+    a_vec, b_vec, j = inv.cyclic_family(s)
     # bend a constant b_i where a_i = 0: no member of the bent family is a
     # member of the true one, so no factor can be found
-    i = next(i for i, (a, _) in enumerate(family) if not a)
-    bent = list(family)
-    bent[i] = (family[i][0], family[i][1] + ctx.one())
-    monkeypatch.setattr(inv, "orbit_family", lambda G: (tuple(bent), j))
+    i = next(i for i, a in enumerate(a_vec) if not a)
+    bent = list(b_vec)
+    bent[i] = ctx.add(bent[i], 1)
+    monkeypatch.setattr(inv, "cyclic_family", lambda t: (a_vec, bent, j))
     with pytest.raises(InvariantViolation, match="does not exhaust"):
         sf.factor_by_orbit(s)
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 3)])
+def test_factor_by_orbit_builds_no_powers_and_no_subgroup(monkeypatch, p, m):
+    # the family of <s> comes from orbit walks of s; for order q+1 no orbit
+    # product is expanded either
+    ctx = gf.field_create(p, m)
+    elements = [mo.Moebius.from_key(ctx, key) for key in go.pgl_keys(ctx)]
+    expected = {s: sf.factor_by_orbit(s) for s in elements if not s.is_identity()}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factor_by_orbit must not call this")
+
+    monkeypatch.setattr(mo.Moebius, "powers", forbidden)
+    monkeypatch.setattr(go.Subgroup, "__init__", forbidden)
+    monkeypatch.setattr(inv, "orbit_family", forbidden)
+    expand = inv._expand_roots
+    tori = 0
+    for s, res in expected.items():
+        torus = s.order() == ctx.order + 1
+        monkeypatch.setattr(inv, "_expand_roots", forbidden if torus else expand)
+        assert sf.factor_by_orbit(s) == res
+        tori += torus
+    assert tori == ctx.order * (ctx.order - 1) // 2 * sf._euler_phi(ctx.order + 1)
 
 
 def _reference_factor_by_orbit(s):
@@ -293,9 +317,8 @@ def test_factor_by_orbit_rejects_a_degree_off_the_order(monkeypatch, F7):
 
 def test_factor_by_orbit_rejects_a_family_of_the_wrong_length(monkeypatch, F7):
     s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
-    family, j = inv.orbit_family(go.Subgroup(F7, s.powers()))
-    longer = family + ((F7.zero(), F7.one()),)
-    monkeypatch.setattr(inv, "orbit_family", lambda G: (longer, j))
+    a_vec, b_vec, j = inv.cyclic_family(s)
+    monkeypatch.setattr(inv, "cyclic_family", lambda t: (a_vec + [0], b_vec + [1], j))
     with pytest.raises(InvariantViolation, match="degree differs from the order"):
         sf.factor_by_orbit(s)
 
@@ -348,6 +371,16 @@ def test_lambda_report_two(F2):
 def test_lambda_report_wrong_order(F7, text):
     with pytest.raises(WrongOrderError):
         sf.lambda_family_report(mo.parse_moebius(F7, text))
+
+
+def test_lambda_report_checks_the_order_first(monkeypatch, F7):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no work before the order check")
+
+    monkeypatch.setattr(mo.Moebius, "powers", forbidden)
+    monkeypatch.setattr(inv, "cyclic_family", forbidden)
+    with pytest.raises(WrongOrderError):
+        sf.lambda_family_report(mo.parse_moebius(F7, "(x+1)/(x+3)"))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -437,14 +470,13 @@ def test_lambda_report_needs_no_powmod_or_factoring(monkeypatch, F7):
 
 
 def _frozen_family(monkeypatch, s, perturb=None):
-    """Make inv.orbit_family return the family of <s> computed now, with
-    perturb applied to its list of pairs, so that later patches reach only
-    the report."""
-    family, j = inv.orbit_family(go.Subgroup(s.ctx, s.powers()))
-    family = list(family)
+    """Make inv.cyclic_family return the family of <s> computed now, with
+    perturb applied to its encoded constants b_i, so that later patches
+    reach only the report."""
+    a_vec, b_vec, j = inv.cyclic_family(s)
     if perturb is not None:
-        perturb(family)
-    monkeypatch.setattr(inv, "orbit_family", lambda G: (tuple(family), j))
+        perturb(b_vec)
+    monkeypatch.setattr(inv, "cyclic_family", lambda t: (a_vec, b_vec, j))
 
 
 def test_lambda_report_checks_the_companion_identity(monkeypatch, F7):
@@ -468,9 +500,8 @@ def test_lambda_report_rejects_a_perturbed_family(monkeypatch, F7, i):
     # one b_i of the family, at each of the q + 2 = 9 places, moved by one
     s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
 
-    def perturb(family):
-        a, b = family[i]
-        family[i] = (a, b + 1)
+    def perturb(b_vec):
+        b_vec[i] = F7.add(b_vec[i], 1)
 
     _frozen_family(monkeypatch, s, perturb)
     with pytest.raises(InvariantViolation):
