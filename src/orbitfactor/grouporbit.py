@@ -63,9 +63,14 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def is_cyclic(self) -> bool:
+    def generator(self) -> mo.Moebius | None:
+        """The first element, in key order, whose order is |G|, or None when
+        G is not cyclic."""
         n = len(self)
-        return any(s.order() == n for s in self.elements)
+        return next((s for s in self.elements if s.order() == n), None)
+
+    def is_cyclic(self) -> bool:
+        return self.generator() is not None
 
 
 @dataclass(frozen=True)
@@ -146,11 +151,24 @@ def full_pgl(ctx: gf.FieldCtx) -> Subgroup:
     return group
 
 
+def orbit_images(F: gf.FieldCtx, keys: list, z: int) -> list[int]:
+    """The images of the point z of P^1(F), an encoding or -1 for infinity,
+    under the maps with the given keys (over F or a subfield), in their
+    order; raises unless the distinct images times the maps that fix z
+    number len(keys), the orbit-stabilizer identity when the keys form a
+    group."""
+    image = mo.image
+    images = [image(F, k, z) for k in keys]
+    if len(set(images)) * images.count(z) != len(keys):
+        raise InvariantViolation(f"orbit-stabilizer identity fails on the orbit of "
+                                 f"{mo.point_of(F, z)}")
+    return images
+
+
 def _orbits(G: Subgroup, candidates: Iterable[int], ext: gf.FieldCtx) -> list[Orbit]:
     """The G-orbits through the candidates, points of P^1(ext) given as
     encodings in increasing order (-1 for infinity), each with its stabilizer
-    and checked against the orbit-stabilizer identity, sorted by size and
-    then least point.
+    and checked by :func:`orbit_images`, sorted by size and then least point.
 
     The first candidate not yet in an orbit is the least point of its own
     orbit, since every smaller point is already placed; one pass of its
@@ -160,17 +178,14 @@ def _orbits(G: Subgroup, candidates: Iterable[int], ext: gf.FieldCtx) -> list[Or
     elements = G.elements
     keys = [s.key() for s in elements]
     n = len(elements)
-    image = mo.image
     found = []
     assigned: set[int] = set()
     for z in candidates:
         if z in assigned:
             continue
-        images = [image(ext, k, z) for k in keys]
+        images = orbit_images(ext, keys, z)
         pts = set(images)
         stab = [s for s, w in zip(elements, images) if w == z]
-        if len(pts) * len(stab) != n:
-            raise InvariantViolation("orbit-stabilizer identity failed")
         assigned |= pts
         found.append((sorted(pts), stab))
     found.sort(key=lambda o: (len(o[0]), o[0][0]))

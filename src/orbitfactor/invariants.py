@@ -4,15 +4,15 @@ The orbit polynomial of G is the monic degree-|G| polynomial in T whose roots
 are the images of x under G; its nonconstant coefficients share a single
 denominator A(x) and any one of them generates the invariant function field.
 All coefficients are affine in the first nonconstant one, t, which yields
-the linear one-parameter family attached to G.  :func:`orbit_family` reads
-the family off two fibres of t: the orbit of infinity, where t has its
-poles, gives the slopes, and one more orbit gives the constants, each a
-product of |G| linear factors, O(|G|^2) operations in F_q, or in F_{q^2}
-for a transitive group other than the nonsplit torus, whose second fibre
-is a companion polynomial over F_q.  For a cyclic group <s>,
-:func:`cyclic_family` reads the same family off orbit walks of s alone, on
-encodings: O(r) images for r = order(s), plus O(r^2) for the orbit products,
-or O(q) when <s> is the torus, whose slopes are T^q - T in closed form.
+the linear one-parameter family attached to G.  One builder reads the
+family off two fibres of t: the orbit of infinity, where t has its poles,
+gives the slopes, and one more orbit gives the constants, each a product of
+|G| linear factors, O(|G|^2) operations in F_q, or in F_{q^2} for a
+transitive group other than the nonsplit torus.  The torus needs no orbit
+product: its slopes are T^q - T and its fibres companion polynomials over
+F_q, O(q).  :func:`orbit_family` lists each orbit as the images of a point
+under every element of G, and :func:`cyclic_family` walks it under one
+generator s, on encodings, O(r) images for r = order(s).
 :func:`orbit_polynomial` builds the rational-function coefficients from the
 family in closed form, without a gcd, and the generator of the invariant
 field is its parameter t = -B/Ahat as it stands (Ahat = sum of a_i x^i,
@@ -297,76 +297,106 @@ def orbit_polynomial(G: go.Subgroup) -> OrbitPolynomial:
     return OrbitPolynomial(G, coeffs, family, param_index)
 
 
-def _check_distinct_lines(G: go.Subgroup) -> None:
-    """Pairwise non-proportional numerators ax+b and denominators cx+d for
-    cyclic G of order r > 2 dividing q+1 (a fixed-point-freeness
-    consequence).  Cyclicity, which costs element orders, is asked only
-    when a line repeats."""
-    ctx = G.ctx
-    m = len(G)
-    if m <= 2 or (ctx.order + 1) % m:
-        return
-
-    def monic(u: int, v: int) -> tuple:
-        """The line ux+v, u and v encoded, up to a scalar: its monic form."""
-        return (1, ctx.mul(v, ctx.inv(u))) if u else (0, 1)
-
-    keys = [s.key() for s in G.elements]
-    numerators = {monic(a, b) for a, b, _, _ in keys}
-    denominators = {monic(c, d) for _, _, c, d in keys}
-    if (len(numerators) < m or len(denominators) < m) and G.is_cyclic():
-        raise InvariantViolation("proportional numerator or denominator lines "
-                                 "in a fixed-point-free cyclic group")
-
-
 def orbit_family(G: go.Subgroup) -> tuple[tuple, int]:
     """(family, param_index) of the orbit polynomial of G: the pairs
     (a_i, b_i) with c_i = a_i*t + b_i for its coefficients c_i and the
-    parameter t = c_j, j = param_index.
-
-    Read off two fibres of t.  As x tends to infinity, P(T)/t tends to a
-    multiple of A(T) = prod over the g with g(inf) != inf of (T - g(inf)), a
-    polynomial over F_q of degree |G| - |G_inf|; so a_i = A_i/A_j, where j is
-    the first i with A_i != 0.  At a point z outside G(inf) every c_i is
-    finite and P specializes to c(T) = prod over g in G of (T - g(z)), so
-    b_i = c_i(z) - a_i*c_j(z).  z is the first point of F_q, in encoding
-    order, outside G(inf).  When G(inf) is all of P^1(F_q) and G is the
-    nonsplit torus of order q+1 (see :func:`_torus_fibres`), c(T) is instead
-    the companion polynomial of an element of G, over F_q, with no root
-    taken.  Any other transitive G (PGL(2,q), A5, a transitive dihedral
-    group) takes z from F_{q^2} = ``gf.extension_of(F_q, 2)``, where one
-    exists because G(inf) lies in P^1(F_q), and the b_i are brought back to
-    F_q.  A third fibre, when there is one (a third orbit in the same field,
-    or the companion of a second torus element), is checked to lie on the
-    family, and the orbit-stabilizer identity |G(inf)|*|G_inf| = |G| is
-    checked at infinity.  Each orbit product costs O(|G|^2) operations in
-    F_q or F_{q^2}; a torus companion costs O(q).  The lines of the elements
-    are checked by :func:`_check_distinct_lines`.
+    parameter t = c_j, j = param_index.  Read by :func:`_family` off orbits
+    of G, each the images of a point under every element, checked by
+    :func:`grouporbit.orbit_images`; constants read off F_{q^2} are brought
+    back to F_q.
     """
-    _check_distinct_lines(G)
     ctx = G.ctx
-    m = len(G)
-    entries = [s.key() for s in G.elements]
-    at_inf = [ctx.mul(a, ctx.inv(c)) for a, _, c, _ in entries if c]  # the g(inf) != inf
-    seen = set(at_inf)
-    if (len(seen) + 1) * (m - len(at_inf)) != m:
-        raise InvariantViolation("orbit-stabilizer identity fails at infinity")
-    A = _expand_roots(ctx, at_inf)
-    j = next(i for i, a in enumerate(A) if a)
-    scale = ctx.inv(A[j])
-    a_vec = [ctx.mul(a, scale) for a in A] + [0] * (m - len(at_inf))
-    field, fibres = ctx, None
-    if len(seen) == ctx.order:  # G(inf) is all of P^1(F_q)
-        if m == ctx.order + 1:
-            fibres = _torus_fibres(ctx, entries)
-        if fibres is None:
-            field = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), ctx.order ** 2))
-    if fibres is None:
-        fibres = _orbit_fibres(field, entries, seen)
-    b_vec = _affine_constants(field, a_vec, j, fibres)
+    keys = [s.key() for s in G.elements]
+    a_vec, b_vec, j, field = _family(
+        ctx, len(G), lambda F, x: list(dict.fromkeys(go.orbit_images(F, keys, x))),
+        G.generator)
     family = tuple((ctx.decode(a), gf.down_cast(field.decode(b), ctx))
                    for a, b in zip(a_vec, b_vec))
     return family, j
+
+
+def cyclic_family(s: mo.Moebius) -> tuple[list, list, int]:
+    """(a_vec, b_vec, j): the family of <s>, as :func:`orbit_family` gives
+    it for G = <s>, on encodings.  Read by :func:`_family` off orbit walks
+    of s alone (:func:`_orbit_walk`), one :func:`moebius.image` per step,
+    with no list of powers and no Subgroup: O(r) images for r = order(s),
+    plus O(r^2) for the orbit products, or O(q) when <s> is the torus.
+    """
+    ctx, key, r = s.ctx, s.key(), s.order()
+    a_vec, b_vec, j, _ = _family(ctx, r, lambda F, x: _orbit_walk(F, key, x, r), lambda: s)
+    return a_vec, b_vec, j
+
+
+def _family(ctx: gf.FieldCtx, m: int, orbit, generator) -> tuple[list, list, int, gf.FieldCtx]:
+    """(a_vec, b_vec, j, field): the encoded family of a group G of order m
+    over F_q = ctx, its constants encoded in `field`, F_q or F_{q^2}.
+    orbit(F, x) lists the distinct points of the G-orbit of the point x of
+    P^1(F), an encoding or -1 for infinity, checked against the
+    orbit-stabilizer identity; generator() returns an element of order m,
+    or None when G is not cyclic, and is asked only by the torus and line
+    tests below.
+
+    A point z whose orbit has length l has a stabilizer of order m/l, so
+    its fibre, the product over g in G of (T - g(z)), is the product over
+    its orbit raised to m/l.  As x tends to infinity, P(T)/t tends to a
+    multiple of A(T), the fibre of infinity without its factors at
+    infinity; so a_i = A_i/A_j, where j is the first i with A_i != 0.  At a
+    point z outside G(inf) every c_i is finite and P specializes to the
+    fibre c(T) of z, so b_i = c_i(z) - a_i*c_j(z).  z is the first point of
+    F_q, in encoding order, outside G(inf); the next orbit outside both, if
+    any, is a third fibre, checked to lie on the family.  Each orbit
+    product costs O(m^2) operations.
+
+    When G(inf) is all of P^1(F_q) and G is cyclic of order q+1, G is the
+    nonsplit torus: A = T^q - T in closed form, so j = 1, and the fibres
+    are the companions of a generator g and of g^2, O(q) work over F_q.
+    Every non-identity element of the torus fixes no point of P^1(F_q) and
+    shares its two fixed points in F_{q^2} with all of G, so the q+1 roots
+    of the companion c*T^(q+1) + d*T^q - a*T - b of g, the z with
+    g(z) = z^q, form one free G-orbit, and the companion divided by c is
+    its fibre.  Any other transitive G (PGL(2,q), A5, a transitive dihedral
+    group, a regular group of order q+1 that is not cyclic) takes z from
+    F_{q^2} = ``gf.extension_of(F_q, 2)``, whose first q encodings are F_q.
+
+    For cyclic G of order m > 2 dividing q+1 the numerators ax+b and the
+    denominators cx+d of its elements are pairwise non-proportional lines,
+    a consequence of fixed-point-freeness.  g's numerator vanishes at
+    g^-1(0) and its denominator at g^-1(inf), so that holds exactly when
+    the orbits of 0 and of infinity both have length m.  0 lies on the
+    orbit of infinity or is the first fibre point, so the check lists no
+    further orbit.
+    """
+    q = ctx.order
+    at_inf = orbit(ctx, -1)
+    field = ctx
+    g = generator() if len(at_inf) == q + 1 == m else None
+    if g is not None:
+        a_vec = [0] * (m + 1)
+        a_vec[1], a_vec[q] = 1, ctx.neg(1)  # (T^q - T)/(-1)
+        j = 1
+        fibres = [monic_companion(ctx, g.key()), monic_companion(ctx, g.compose(g).key())]
+        at_zero = at_inf
+    else:
+        A = _expand_roots(ctx, [w for w in at_inf if w >= 0] * (m // len(at_inf)))
+        j = next(i for i, a in enumerate(A) if a)
+        scale = ctx.inv(A[j])
+        a_vec = [ctx.mul(a, scale) for a in A] + [0] * (m + 1 - len(A))
+        if len(at_inf) == q + 1:
+            field = gf.extension_of(ctx, 2, cap=max(gf.size_cap(), q ** 2))
+        seen, orbits = set(at_inf), []
+        for z in range(field.order):
+            if len(orbits) == 2:
+                break
+            if z not in seen:
+                orbits.append(orbit(field, z))
+                seen.update(orbits[-1])
+        fibres = [_expand_roots(field, o * (m // len(o))) for o in orbits]
+        at_zero = at_inf if 0 in at_inf else orbits[0]
+    if (m > 2 and (q + 1) % m == 0 and not len(at_inf) == len(at_zero) == m
+            and generator() is not None):
+        raise InvariantViolation("proportional numerator or denominator lines "
+                                 "in a fixed-point-free cyclic group")
+    return a_vec, _affine_constants(field, a_vec, j, fibres), j, field
 
 
 def _affine_constants(field: gf.FieldCtx, a_vec: list, j: int, fibres: list) -> list:
@@ -379,61 +409,6 @@ def _affine_constants(field: gf.FieldCtx, a_vec: list, j: int, fibres: list) -> 
         if field.addmul(b_vec, c2[j], a_vec) != c2:
             raise InvariantViolation("orbit polynomial coefficients not affine in the parameter")
     return b_vec
-
-
-def cyclic_family(s: mo.Moebius) -> tuple[list, list, int]:
-    """(a_vec, b_vec, j): the family of <s>, as :func:`orbit_family` gives
-    it for G = <s>, on encodings, read off orbit walks of s alone, one
-    :func:`moebius.image` per step, with no list of powers and no Subgroup.
-
-    With r = order(s), a point whose orbit has length l has a stabilizer of
-    order r/l in <s>, so its fibre prod over G of (T - g(z)) is the product
-    over its orbit raised to r/l; every l is checked to divide r.  The walk
-    from infinity gives the slopes, A = (prod over its finite points of
-    (T - w))^(r/l), or 1 when s fixes infinity.  When that orbit is all of
-    P^1(F_q), <s> has order q+1 and is the nonsplit torus: A = T^q - T in
-    closed form, so j = 1, and the fibres are the companions of s and s^2
-    (see :func:`_torus_fibres`), O(q) work.  Otherwise the fibres are the
-    walks from the first two points of F_q, in encoding order, outside the
-    orbits already walked, O(r^2) each.  For r > 2 dividing q+1 the lines
-    of the elements are pairwise non-proportional (see
-    :func:`_check_distinct_lines`): g's numerator vanishes at g^-1(0) and
-    its denominator at g^-1(inf), so that holds exactly when the walks from
-    0 and from infinity both have length r.  0 lies on the orbit of
-    infinity or is the first fibre point, so no walk is added for it.
-    """
-    ctx = s.ctx
-    key = s.key()
-    q = ctx.order
-    r = s.order()
-    at_inf = _orbit_walk(ctx, key, -1, r)
-    if len(at_inf) == q + 1:
-        a_vec = [0] * (r + 1)
-        a_vec[1], a_vec[q] = 1, ctx.neg(1)  # (T^q - T)/(-1)
-        j = 1
-        fibres = [monic_companion(ctx, key), monic_companion(ctx, s.compose(s).key())]
-        at_zero = at_inf
-    else:
-        finite = at_inf[1:]
-        A = _expand_roots(ctx, finite * (r // len(at_inf)))
-        j = next(i for i, a in enumerate(A) if a)
-        scale = ctx.inv(A[j])
-        a_vec = [ctx.mul(a, scale) for a in A] + [0] * (r + 1 - len(A))
-        seen = set(finite)
-        orbits = []
-        for z in range(q):
-            if len(orbits) == 2:
-                break
-            if z not in seen:
-                orbit = _orbit_walk(ctx, key, z, r)
-                orbits.append(orbit)
-                seen.update(orbit)
-        fibres = [_expand_roots(ctx, orbit * (r // len(orbit))) for orbit in orbits]
-        at_zero = at_inf if 0 in finite else orbits[0]
-    if r > 2 and (q + 1) % r == 0 and not len(at_inf) == len(at_zero) == r:
-        raise InvariantViolation("proportional numerator or denominator lines "
-                                 "in a fixed-point-free cyclic group")
-    return a_vec, _affine_constants(ctx, a_vec, j, fibres), j
 
 
 def _orbit_walk(F: gf.FieldCtx, key: tuple, x: int, r: int) -> list:
@@ -451,38 +426,6 @@ def _orbit_walk(F: gf.FieldCtx, key: tuple, x: int, r: int) -> list:
     return orbit
 
 
-def _torus_fibres(ctx: gf.FieldCtx, entries: list) -> list | None:
-    """The encoded companion polynomials, divided by c, of the first two
-    non-identity keys (a, b, c, d) when G is the nonsplit torus of order
-    q+1, else None.
-
-    G is that torus when every non-identity g has c_g != 0 and all share
-    b_g/c_g and (d_g - a_g)/c_g: then every g is N + nu*I up to a scalar for
-    one matrix N = (0, b/c; 1, (d-a)/c), so G lies in F_q[N]*/F_q*, which
-    holds a group of order q+1 only when it is the torus F_{q^2}*/F_q*.
-    There each non-identity g fixes no point of P^1(F_q) and shares its two
-    fixed points in F_{q^2} with all of G, so the q+1 roots of
-    c*T^(q+1) + d*T^q - a*T - b, the z with g(z) = z^q, form one free
-    G-orbit, and the companion divided by c is the fibre prod over G of
-    (T - h(z)).  An O(|G|) test and O(q) work, all in F_q.
-    """
-    mul, inv, sub = ctx.mul, ctx.inv, ctx.sub
-    shapes, fibres = set(), []
-    for key in entries:
-        if key == mo.IDENTITY_KEY:
-            continue
-        a, b, c, d = key
-        if not c:
-            return None
-        inv_c = inv(c)
-        shapes.add((mul(b, inv_c), mul(sub(d, a), inv_c)))
-        if len(shapes) > 1:
-            return None
-        if len(fibres) < 2:
-            fibres.append(monic_companion(ctx, key))
-    return fibres
-
-
 def monic_companion(ctx: gf.FieldCtx, key: tuple) -> list:
     """Encoded coefficients, low to high, of c*T^(q+1) + d*T^q - a*T - b for
     encoded entries (a, b, c, d) over F_q, divided by its leading
@@ -494,23 +437,6 @@ def monic_companion(ctx: gf.FieldCtx, key: tuple) -> list:
     out[0], out[1] = ctx.neg(mul(b, inv_lead)), ctx.neg(mul(a, inv_lead))
     out[q], out[-1] = mul(d, inv_lead), 1
     return out
-
-
-def _orbit_fibres(field: gf.FieldCtx, entries: list, seen: set) -> list:
-    """The encoded products of (T - g(z)) over G for the first two orbits
-    of points z of `field`, in encoding order, outside `seen` (G(inf)); the
-    encodings of F_q come first, and keep their value."""
-    add, mul, inv = field.add, field.mul, field.inv
-    seen = set(seen)
-    fibres = []
-    for z in range(field.order):
-        if len(fibres) == 2:
-            break
-        if z not in seen:
-            images = [mul(add(mul(a, z), b), inv(add(mul(c, z), d))) for a, b, c, d in entries]
-            fibres.append(_expand_roots(field, images))
-            seen.update(images)
-    return fibres
 
 
 def _expand_roots(field: gf.FieldCtx, roots: list) -> list:

@@ -39,7 +39,10 @@ def run_cli(capsys, *argv):
 # over F_263, in the computed tier, of -1/x and of -x, which has c = 0; and
 # factor of tori over F_13 and F_16, whose family is T^q - T with companion
 # fibres, of an order-13 element over F_25 and of an order-12 element over
-# F_263 (22 factors), and lambda-report over F_13)
+# F_263 (22 factors), and lambda-report over F_13; and orbit-poly of A4 over
+# F_11, regular of order q+1 but not cyclic, of the transitive dihedral group
+# of order 16 over F_7, both with constants from F_{q^2}, and of <3x> over
+# F_13, which fixes infinity and has a third orbit)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

@@ -425,6 +425,7 @@ def test_orbit_family_matches_the_expansion(field, generators):
     ((3, 1), "(2x+1)/(x+1)"),   # two orbits of order (q+1)/2, one of them G(inf)
     ((7, 1), "(3x-1)/(x+3) (1)/(x)"),  # dihedral of order 16, transitive
     ((3, 1), "(-1)/(x) (x+1)/(x-1)"),  # Klein four, regular on P^1(F_3): not a torus
+    ((11, 1), "(1)/(6x) (x+1)/(8x+1)"),  # A4 of order q+1, regular on P^1(F_11): not a torus
 ])
 def test_orbit_family_from_the_quadratic_extension(monkeypatch, field, text):
     ctx = gf.field_create(*field)
@@ -510,47 +511,58 @@ def _lines_collide_pairwise(G):
                for (u1, v1), (u2, v2) in itertools.combinations(lines, 2))
 
 
-def test_line_check_raises_exactly_on_proportional_lines(F7):
-    # random sets of 4 elements (4 divides q+1 = 8), one of them of order 4,
-    # so that the set passes for cyclic
-    rng = random.Random(0)
-    elements = sorted(go.full_pgl(F7), key=lambda s: s.key())
-    order_four = [s for s in elements if s.order() == 4]
-    raised = kept = 0
-    for _ in range(200):
-        G = go.Subgroup(F7, [rng.choice(order_four)] + rng.sample(elements, 3))
-        if len(G) < 4:
-            continue
-        assert G.is_cyclic()
-        if _lines_collide_pairwise(G):
-            with pytest.raises(InvariantViolation):
-                inv._check_distinct_lines(G)
-            raised += 1
-        else:
-            inv._check_distinct_lines(G)
-            kept += 1
-    assert raised and kept
+def test_line_check_raises_exactly_on_proportional_lines(monkeypatch):
+    # every cyclic subgroup of order m > 2 dividing q+1 has distinct lines,
+    # and the family builder raises for none of them
+    checked = 0
+    for field in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        ctx = gf.field_create(*field)
+        q = ctx.order
+        elements = (mo.Moebius.from_key(ctx, key) for key in go.pgl_keys(ctx))
+        cyclic = {go.Subgroup(ctx, s.powers()) for s in elements}
+        for G in cyclic:
+            if len(G) > 2 and (q + 1) % len(G) == 0:
+                assert not _lines_collide_pairwise(G)
+                inv.orbit_family(G)
+                inv.cyclic_family(G.generator())
+                checked += 1
+    assert checked > 100
+    # the Klein four-group <-x, 1/x> over F_3 (4 divides q+1): x and -x
+    # share the numerator line; claimed cyclic, it fails the line check
+    F3 = gf.prime_field(3)
+    G = go.generate(F3, [mo.parse_moebius(F3, t) for t in ("-x", "(1)/(x)")])
+    assert len(G) == 4 and _lines_collide_pairwise(G)
+    inv.orbit_family(G)
+    monkeypatch.setattr(go.Subgroup, "generator", lambda H: H.elements[-1])
+    with pytest.raises(InvariantViolation, match="proportional numerator or denominator"):
+        inv.orbit_family(G)
 
 
-def test_line_check_asks_cyclicity_only_when_a_line_repeats(F7, monkeypatch):
-    cyclic_calls, is_cyclic = [], go.Subgroup.is_cyclic
+def test_line_check_asks_cyclicity_only_when_a_line_repeats(F5, F7, monkeypatch):
+    generator_calls, generator = [], go.Subgroup.generator
 
     def recording(G):
-        cyclic_calls.append(len(G))
-        return is_cyclic(G)
+        generator_calls.append(len(G))
+        return generator(G)
 
-    monkeypatch.setattr(go.Subgroup, "is_cyclic", recording)
-    # the torus <(3x-1)/(x+3)> of order q+1 = 8: its lines are distinct
+    monkeypatch.setattr(go.Subgroup, "generator", recording)
+    # the torus <s>, s = (3x-1)/(x+3), of order q+1 = 8: asked once, for
+    # the companion of a generator; its lines are distinct
     s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
-    inv._check_distinct_lines(go.Subgroup(F7, s.powers()))
-    assert cyclic_calls == []
+    inv.orbit_family(go.Subgroup(F7, s.powers()))
+    assert generator_calls == [8]
+    # <s^2> of order 4 and PGL(2,5): neither the torus nor a repeated line
+    generator_calls.clear()
+    inv.orbit_family(go.Subgroup(F7, s.compose(s).powers()))
+    inv.orbit_family(go.full_pgl(F5))
+    assert generator_calls == []
     # a Klein four-group over F_3 (4 divides q+1): x and -x share the
     # numerator line, but G is not cyclic, so nothing is raised
     F3 = gf.prime_field(3)
     G = go.generate(F3, [mo.parse_moebius(F3, t) for t in ("-x", "(1)/(x)")])
     assert len(G) == 4 and _lines_collide_pairwise(G)
-    inv._check_distinct_lines(G)
-    assert cyclic_calls == [4]
+    inv.orbit_family(G)
+    assert generator_calls == [4]
 
 
 def test_orbit_family_checks_a_third_orbit(monkeypatch):
@@ -583,6 +595,16 @@ def test_orbit_family_checks_the_stabilizer_at_infinity(F5):
     bent = go.Subgroup(F5, [g for g in G if g != mo.parse_moebius(F5, "-x")])
     with pytest.raises(InvariantViolation, match="orbit-stabilizer"):
         inv.orbit_family(bent)
+
+
+def test_orbit_family_checks_the_stabilizer_on_every_orbit():
+    # {x, 3x, 9x, x+1} passes at infinity (one point, four maps fix it), but
+    # its maps send 0 to {0, 1} while three of them fix 0
+    F13 = gf.prime_field(13)
+    G = go.Subgroup(F13, [mo.parse_moebius(F13, t) for t in ("x", "3x", "9x", "x+1")])
+    assert len(G) == 4
+    with pytest.raises(InvariantViolation, match="orbit-stabilizer identity fails on the orbit of 0"):
+        inv.orbit_family(G)
 
 
 def _assert_cyclic_family_matches(s):
