@@ -325,7 +325,9 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     _require_positive("--m", args.m)
-    results = verify.run_suite(args.suite, None if args.p is None else args.p ** args.m)
+    q = None if args.p is None else (  # no check runs at a q above the default cap
+        0 if gf.power_exceeds(abs(args.p), args.m, gf.DEFAULT_SIZE_CAP) else args.p ** args.m)
+    results = verify.run_suite(args.suite, q)
     lines = []
     ok_all = True
     for res in results:

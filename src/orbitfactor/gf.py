@@ -69,6 +69,11 @@ def size_cap() -> int:
         raise SizeCapError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
 
 
+def power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """base ** exponent > cap; for base >= 2, exponent >= cap.bit_length() forms no power."""
+    return base >= 2 and exponent >= cap.bit_length() or base ** exponent > cap
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -810,7 +815,7 @@ def field_create(p: int, m: int, cap: Optional[int] = None) -> FieldCtx:
     base = prime_field(p)
     # the cap is read before the cache, as in extend
     limit = size_cap() if cap is None else cap
-    if p ** m > limit:
+    if power_exceeds(p, m, limit):
         raise SizeCapError(f"{p}^{m} exceeds the size cap {limit}")
     return extension_of(base, m, cap=limit)
 

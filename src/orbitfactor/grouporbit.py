@@ -196,7 +196,7 @@ def _orbits(G: Subgroup, candidates: Iterable[int], ext: gf.FieldCtx) -> list[Or
 def orbit_decomposition(G: Subgroup, k: int) -> OrbitReport:
     """Partition of P^1(F_{q^k}) into G-orbits with stabilizers."""
     q = G.ctx.order
-    if q ** k > MAX_POINTS:
+    if gf.power_exceeds(q, k, MAX_POINTS):
         raise SizeCapError(f"{q}^{k} points exceed the enumeration cap")
     ext = gf.extension_of(G.ctx, k)
     report = OrbitReport(k, ext, tuple(_orbits(G, range(-1, ext.order), ext)))

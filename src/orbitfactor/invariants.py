@@ -322,7 +322,12 @@ def cyclic_family(s: mo.Moebius) -> tuple[list, list, int]:
     with no list of powers and no Subgroup: O(r) images for r = order(s),
     plus O(r^2) for the orbit products, or O(q) when <s> is the torus.
     """
-    ctx, key, r = s.ctx, s.key(), s.order()
+    return _cyclic_family(s, s.order())
+
+
+def _cyclic_family(s: mo.Moebius, r: int) -> tuple[list, list, int]:
+    """:func:`cyclic_family` of s, whose order r the caller has found."""
+    ctx, key = s.ctx, s.key()
     a_vec, b_vec, j, _ = _family(ctx, r, lambda F, x: _orbit_walk(F, key, x, r), lambda: s)
     return a_vec, b_vec, j
 

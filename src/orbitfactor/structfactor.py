@@ -1,28 +1,18 @@
 """Structured factorization of c*T^(q+1) + d*T^q - a*T - b and its relatives.
 
-The roots of this polynomial are exactly the points moved to their q-th power
-by s(x) = (ax+b)/(cx+d).  After the rational fixed points of s are stripped,
-every irreducible factor is the orbit polynomial of the cyclic group
-generated by s, specialized in its linear one-parameter family at some
-lambda in F_q.  That family is read off two fibres of its parameter, the
-orbit of infinity and one more, each walked under s alone (see
-:func:`invariants.cyclic_family`), without the powers of s and without
-expanding the orbit polynomial over F_q(x).  The factors are found by
-sweeping lambda over F_q, using only F_q arithmetic on encoded coefficient
-lists (for s of order q+1 the slopes are T^q - T and the fibres companion
-polynomials, so no extension field is built and no orbit product is
-expanded), and the result is cross-checked against exact reconstruction of
-the input.
+The roots of this polynomial are the points moved to their q-th power by
+s(x) = (ax+b)/(cx+d).  Past the rational fixed points of s, every irreducible
+factor is a fibre F_lambda = B + lambda*A of the invariant t = -B/A of <s>:
+the member at lambda of the linear family of its orbit polynomial, read off
+orbit walks of s alone (:func:`invariants.cyclic_family`).  So the factors
+come from expanding the companion in A and B in F_q arithmetic, with no
+lambda tried; :func:`factor_general_k` does the same for degree q^k + 1.
+Each result is checked by exact reconstruction of the input.
 
-The family is also the invariant: the generator of the invariant field of
-G is f/g = -B/Ahat, read off the family (see
-:func:`invariants.invariant_generator`), so every f - lambda*g is the family
-member F_lambda = sum of (a_i*lambda + b_i) T^i, one ``ctx.addmul`` of the
-encoded b_i and a_i (:func:`invariants.family_member` returns it as a
-polynomial).  For s of order exactly q+1, every F_lambda is, up to a unit,
-the companion polynomial of one element s + nu of <s> (the matrix of s plus
-nu times the identity), so :func:`lambda_family_report` reads each factor
-degree off that element's order.
+For f/g = -B/A, the generator of the invariant field, every f - lambda*g is
+F_lambda, one ``ctx.addmul`` of the encoded b_i and a_i.  For s of order q+1
+each F_lambda is, up to a unit, the companion polynomial of an element
+s + nu of <s>, so :func:`lambda_family_report` reads its degree off an order.
 """
 
 from __future__ import annotations
@@ -56,10 +46,7 @@ def companion_poly(ctx: gf.FieldCtx, entries: tuple, k: int = 1) -> upoly.Poly:
     q = ctx.order
     n = q ** k + 1
     coeffs = [ctx.zero()] * (n + 1)
-    coeffs[n] = c
-    coeffs[n - 1] = d
-    coeffs[1] = coeffs[1] - a
-    coeffs[0] = coeffs[0] - b
+    coeffs[n], coeffs[n - 1], coeffs[1], coeffs[0] = c, d, -a, -b
     return upoly.Poly(ctx, coeffs)
 
 
@@ -83,7 +70,7 @@ def frobenius_element(G: go.Subgroup, h: upoly.Poly) -> mo.Moebius:
 
 @dataclass(frozen=True)
 class FactorEntry:
-    poly: upoly.Poly          # monic irreducible over F_q
+    poly: upoly.Poly          # monic irreducible over the field of the factorization
     lam: mo.ProjPoint         # value of the family parameter on this factor
 
 
@@ -110,85 +97,91 @@ class StructuredFactorization:
 
 
 def factor_by_orbit(s: mo.Moebius) -> StructuredFactorization:
-    """Factor the companion polynomial of s by orbit-polynomial specialization.
+    """Factor the companion polynomial of s by expanding it in the family of <s>.
 
-    Finite fixed points of s on P^1(F_q) are stripped as linear factors
-    (this is the whole adjustment needed in the split and unipotent cases).
-    Every remaining irreducible factor has degree r = order(s) and is the
-    orbit polynomial of <s> specialized at one of its roots, i.e. the member
-    F_lambda of the linear one-parameter family at some lambda in F_q (the
-    poles of the parameter are rational, so lambda is never infinite).  The
-    family comes from :func:`invariants.cyclic_family`, encoded, from orbit
-    walks of s in F_q arithmetic only, with no powers of s and no Subgroup:
-    the orbit of infinity gives its slopes and one more fibre its
-    constants, checked at a third fibre when there is one; it is decoded
-    once, for the result.
-    The factors are the F_lambda that divide the remainder, found by
-    sweeping lambda over F_q; a degree-r divisor of a squarefree product of
-    degree-r irreducibles is one of them.  Once the remainder has degree r
-    it is the last factor, and its lambda is its coefficient at the
-    parameter index j (a_j = 1 and b_j = 0), checked by rebuilding
-    F_lambda; so a single factor, as for order q+1, tries no lambda.
-
-    The sweep runs on encoded coefficient lists, from
-    :func:`invariants.monic_companion` through the stripping, each F_lambda
-    (one ``addmul``) and the check that unit times the product of the
-    factors is the companion, with the kernels :func:`upoly.encoded_divmod`
-    and :func:`upoly.encoded_mul`; polynomials are built for the result only.
+    The finite fixed points of s are stripped as linear factors.  Every other
+    root lies on a regular orbit of <s>, so the rest W is a product of m
+    fibres F_lambda = B + lambda*A, r = order(s), with B = sum of b_i T^i
+    monic of degree r, A = sum of a_i T^i of smaller degree and lambda finite
+    (the poles of t are rational): W = sum of E_i A^i B^(m-i), E_0 = 1.  Mod B
+    only E_m A^m is left, and (W - E_m A^m)/B has the same form with m - 1;
+    at m = 1, E_1 is W's coefficient at j (a_j = 1, b_j = 0).  That is
+    O(deg(W)^2) operations in F_q on encoded lists, whatever r is.  Then
+    P(Y) = sum of E_i Y^(m-i) = product of (Y + lambda) has m roots in F_q.
     """
+    return _structured(s, 1)
+
+
+def _structured(s: mo.Moebius, k: int) -> StructuredFactorization:
+    """c*T^(q^k+1) + d*T^(q^k) - a*T - b over F_{q^k}: see :func:`factor_general_k`."""
     if s.is_identity():
         raise IdentityInputError("companion of the identity is T^q - T; nothing structured")
-    ctx = s.ctx
-    work = inv.monic_companion(ctx, s.key())
-
+    ctx, key, q = s.ctx, s.key(), s.ctx.order
+    ground = gf.extension_of(ctx, k)
+    work = inv.monic_companion(ground, key)
     removed = []
-    for z in s.fixed_encodings(ctx):
+    for z in s.fixed_encodings(ground):
         if z < 0:
             continue
-        lin = [ctx.neg(z), 1]
-        work, rem = upoly.encoded_divmod(ctx, work, lin)
+        lin = [ground.neg(z), 1]
+        work, rem = upoly.encoded_divmod(ground, work, lin)
         if rem:
             raise InvariantViolation("finite fixed point is not a root of the companion")
         removed.append(lin)
-
+    if max(work) >= q:
+        raise InvariantViolation("stripped companion is not rational over F_q")
     r = s.order()
     if (len(work) - 1) % r:
         raise InvariantViolation("stripped degree is not a multiple of the order")
-
-    a_vec, b_vec, j = inv.cyclic_family(s)
+    a_vec, b_vec, j = inv._cyclic_family(s, r)
     if len(a_vec) != r + 1:
         raise InvariantViolation("orbit polynomial degree differs from the order")
-    addmul = ctx.addmul
-    found = []
-    for lam in range(ctx.order):
-        if len(work) <= r + 1:
-            break
-        candidate = addmul(b_vec, lam, a_vec)  # F_lambda, encoded
-        quotient, rem = upoly.encoded_divmod(ctx, work, candidate)
-        if not rem:
-            work = quotient
-            found.append((candidate, lam))
-    if len(work) > 1:
-        # the last factor is the remainder: a_j = 1 and b_j = 0, so its
-        # lambda is its coefficient at j
-        if len(work) != r + 1 or addmul(b_vec, work[j], a_vec) != work:
-            raise InvariantViolation("the family does not exhaust the remainder")
-        found.append((work, work[j]))
-    found.sort()  # all of degree r, so this is the order of Poly.key()
-
-    ps = frobenius_companion(s)
-    unit = ps.lc()
-    product = [unit.rep]
+    # work = sum of E_i A^i B^(m-i): E_m, ..., E_2 off mod B, then E_1 = work[j]
+    mul, neg, addmul = ctx.mul, ctx.neg, ctx.addmul
+    A = a_vec[:r]  # a_r = 0
+    m = (len(work) - 1) // r
+    powers = [A]
+    for _ in range(m - 1):
+        powers.append(upoly.encoded_mul(ctx, powers[-1], A))
+    P = [1]  # 1, E_1, ..., E_m: P(Y) from the top
+    for power in reversed(powers[1:]):
+        high, low = upoly.encoded_divmod(ctx, power, b_vec)
+        work, res = upoly.encoded_divmod(ctx, work, b_vec)
+        e = mul(res[-1], ctx.inv(low[-1])) if res and len(res) == len(low) else 0
+        if res and (not e or any(addmul(res, neg(e), low))):
+            raise InvariantViolation("a residue mod B is not a constant times a power of A")
+        work[:len(high)] = addmul(work[:len(high)], neg(e), high)
+        P.insert(1, e)
+    if addmul(b_vec, work[j], a_vec) != work:
+        raise InvariantViolation("the expansion in the family leaves a nonzero final remainder")
+    P.insert(1, work[j])
+    # each root y of P is divided out; once P is linear, Y + lambda, lambda is read off
+    gmul, gadd, lams, y = ground.mul, ground.add, [], 0
+    while len(P) > 2 and y < ground.order:
+        quo = [1]  # P = (Y - y)*quo + P(y), by synthetic division
+        for e in P[1:]:
+            quo.append(gadd(gmul(quo[-1], y), e))
+        if not quo.pop():
+            P = quo
+            lams.append(ground.neg(y))
+        y += 1
+    if len(P) == 2:
+        lams.append(P[1])
+    if len(set(lams)) != m:
+        raise InvariantViolation(f"P has {len(set(lams))} distinct roots in F_(q^k), not {m}")
+    found = sorted((ground.addmul(b_vec, lam, a_vec), lam) for lam in lams)
+    ps = companion_poly(ground, tuple(map(ground.decode, key)))
+    product = [ps.lc().rep]
     for f in removed + [f for f, _ in found]:
-        product = upoly.encoded_mul(ctx, f, product)
+        product = upoly.encoded_mul(ground, f, product)
     if product != [c.rep for c in ps.coeffs]:
         raise InvariantViolation("structured factors do not reconstruct the input")
-    decode = ctx.decode
-    linears = tuple(upoly.Poly(ctx, list(map(decode, f))) for f in removed)
-    factors = tuple(FactorEntry(upoly.Poly(ctx, list(map(decode, f))),
+    decode = ground.decode
+    linears = tuple(upoly.Poly(ground, list(map(decode, f))) for f in removed)
+    factors = tuple(FactorEntry(upoly.Poly(ground, list(map(decode, f))),
                                 mo.ProjPoint(decode(lam))) for f, lam in found)
     family = tuple((decode(a_i), decode(b_i)) for a_i, b_i in zip(a_vec, b_vec))
-    return StructuredFactorization(ps, unit, linears, factors, r, family)
+    return StructuredFactorization(ps, ps.lc(), linears, factors, r, family)
 
 
 # -- families over all lambda ----------------------------------------------------
@@ -368,51 +361,45 @@ class GeneralKFactorization:
 def factor_general_k(s: mo.Moebius, k: int) -> GeneralKFactorization:
     """Factor c*T^(q^k+1) + d*T^(q^k) - a*T - b over F_q.
 
-    The polynomial is first factored structurally over F_{q^k}; multiplying
-    each factor by its full orbit under the q-power Frobenius yields the
-    irreducible factors over F_q, each checked irreducible.  For k = 1 every
-    orbit is a single factor.
+    Its roots are the z with z^(q^k) = s(z).  ``inner`` factors it over
+    F_{q^k} as :func:`factor_by_orbit` does over F_q, except that the fixed
+    points and the lambdas are found in F_{q^k}; the stripped rest must lie
+    over F_q.  As the family does, z -> z^q maps the fibre over lambda to the
+    one over lambda^q, and a fixed point z to z^q; each Frobenius orbit of
+    entries is multiplied into one factor, checked to be rational and
+    irreducible, and the factors to reconstruct the input.  Each is
+    irreducible: over a lambda-orbit of size e, z -> z^q permutes the e
+    fibres cyclically, and its k-th power, s, is transitive on each fibre, a
+    regular orbit of <s>; so the Frobenius is transitive on the e*r roots.
     """
-    ctx = s.ctx
-    q = ctx.order
-    if q ** k > gf.size_cap():
+    ctx, q = s.ctx, s.ctx.order
+    if gf.power_exceeds(q, k, gf.size_cap()):
         raise SizeCapError(f"{q}^{k} exceeds the size cap")
     input_poly = companion_poly(ctx, s.entries(), k)
-    ground = gf.extension_of(ctx, k)
-    inner = factor_by_orbit(s.lift_to(ground))
-
-    def rational(c: gf.FieldElem, what: str) -> gf.FieldElem:
-        if not gf.in_subfield(c, ctx):
-            raise InvariantViolation(f"{what} is not rational")
-        return gf.down_cast(c, ctx)
-
-    def descend(poly: upoly.Poly) -> upoly.Poly:
-        return upoly.Poly(ctx, [rational(c, "merged factor coefficient") for c in poly.coeffs])
-
-    def frob_poly(poly: upoly.Poly) -> upoly.Poly:
-        return upoly.Poly(ground, tuple(c ** q for c in poly.coeffs))
-
-    pending = list(inner.removed_linear) + [e.poly for e in inner.factors]
-    pending_set = {p: None for p in pending}
+    inner = _structured(s, k)
+    ground = inner.input.ctx
+    # (0, z) labels the linear factor T - z, (1, lambda) the fibre F_lambda
+    pending = {(0, ground.neg(lin.coeffs[0].rep)): lin for lin in inner.removed_linear}
+    pending.update(((1, e.lam.value.rep), e.poly) for e in inner.factors)
     merged = []
-    while pending_set:
-        poly = next(iter(pending_set))
-        orbit = [poly]
-        nxt = frob_poly(poly)
-        while nxt != poly:
-            if nxt not in pending_set:
+    while pending:
+        (kind, label), poly = pending.popitem()
+        product = [c.rep for c in poly.coeffs]
+        nxt = ground.power(label, q)
+        while nxt != label:
+            conjugate = pending.pop((kind, nxt), None)
+            if conjugate is None:
                 raise InvariantViolation("Frobenius conjugate is missing from the factors")
-            orbit.append(nxt)
-            nxt = frob_poly(nxt)
-        for member in orbit:
-            pending_set.pop(member)
-        merged.append(descend(math.prod(orbit, start=upoly.Poly.one(ground))))
-    for factor in merged:
-        if not upoly.is_irreducible(factor):
+            product = upoly.encoded_mul(ground, product, [c.rep for c in conjugate.coeffs])
+            nxt = ground.power(nxt, q)
+        if max(product) >= q:
+            raise InvariantViolation("merged factor coefficient is not rational")
+        merged.append(upoly.Poly(ctx, list(map(ctx.decode, product))))
+        if not upoly.is_irreducible(merged[-1]):
             raise InvariantViolation("merged factor is reducible over the ground field")
     merged.sort(key=lambda f: f.key())
-    unit = rational(inner.unit, "unit")
-    result = GeneralKFactorization(input_poly, k, ground, inner, tuple(merged), unit)
+    result = GeneralKFactorization(input_poly, k, ground, inner, tuple(merged),
+                                   gf.down_cast(inner.unit, ctx))
     if result.reconstruct() != input_poly:
         raise InvariantViolation("merged factors do not reconstruct the input")
     return result

@@ -42,7 +42,10 @@ def run_cli(capsys, *argv):
 # F_263 (22 factors), and lambda-report over F_13; and orbit-poly of A4 over
 # F_11, regular of order q+1 but not cyclic, of the transitive dihedral group
 # of order 16 over F_7, both with constants from F_{q^2}, and of <3x> over
-# F_13, which fixes infinity and has a third orbit)
+# F_13, which fixes infinity and has a third orbit; and factor --k 2 over F_19
+# of the paper's example, whose fixed points in F_361 merge into one
+# quadratic, --k 2 over F_7 of x+1 (c = 0, A = 1), --k 3 over F_7 of 2x (split,
+# c = 0) and of (3x-1)/(x+3), and --k 2 over F_5 of (2x+1)/(x+2) (split, c != 0))
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -245,6 +248,36 @@ def test_bad_size_cap_is_a_typed_error(capsys, monkeypatch):
     assert code == 2 and not out
     assert err.startswith("error: SizeCapError:")
     assert "ORBITFACTOR_SIZE_CAP" in err and "'abc'" in err
+
+
+# each command checks p^m or q^k against a cap; with exponent 10^8 the
+# power, if formed, takes far longer than the timeout
+HUGE_EXPONENT = {
+    "classes --p 3 --m 100000000":
+        (2, "", "error: SizeCapError: 3^100000000 exceeds the size cap 1048576\n"),
+    "factor --p 7 --m 1 --s x+1 --k 100000000":
+        (2, "", "error: SizeCapError: 7^100000000 exceeds the size cap\n"),
+    "orbits --p 3 --m 1 --gens x+1 --ext 100000000":
+        (2, "", "error: SizeCapError: 3^100000000 points exceed the enumeration cap\n"),
+    "verify --suite lemmas --p 3 --m 100000000": (2, "0/0 checks passed\n", ""),
+}
+
+
+@pytest.mark.parametrize("command", HUGE_EXPONENT)
+def test_a_huge_exponent_is_rejected_without_its_power(command):
+    src = str(Path(orbitfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "ORBITFACTOR_SIZE_CAP"}
+    proc = subprocess.run([sys.executable, "-m", "orbitfactor.cli", *command.split()],
+                          capture_output=True, text=True, env=dict(env, PYTHONPATH=path),
+                          timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == HUGE_EXPONENT[command]
+
+
+def test_verify_checks_run_below_the_default_size_cap():
+    # so the CLI need not form a p^m above it to select no check
+    assert all(0 < q <= gf.DEFAULT_SIZE_CAP for checks in verify._REGISTRY.values()
+               for _, q, _ in checks)
 
 
 def test_verify_json(capsys):

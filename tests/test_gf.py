@@ -54,6 +54,19 @@ def test_size_cap():
     assert gf.field_create(2, 5, cap=32).order == 32
 
 
+def test_power_exceeds_agrees_with_the_power():
+    for base in range(0, 6):
+        for exponent in range(-2 if base else 0, 12):
+            for cap in (-3, 0, 1, 2, 7, 8, 9, 31, 32, 33, 1 << 20):
+                assert gf.power_exceeds(base, exponent, cap) == (base ** exponent > cap)
+
+
+def test_power_exceeds_forms_no_huge_power():
+    # 3^(10^9) would take minutes and gigabytes to form
+    assert gf.power_exceeds(3, 10 ** 9, gf.DEFAULT_SIZE_CAP)
+    assert not gf.power_exceeds(1, 10 ** 9, gf.DEFAULT_SIZE_CAP)
+
+
 def test_extend_and_gen(F3):
     h = upoly.Poly.from_ints(F3, [1, 0, 1])  # y^2 + 1
     F9 = gf.extend(F3, h)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -174,6 +175,10 @@ def test_order_q_plus_one_needs_no_extension_field(monkeypatch, q):
         assert P.family == res.family and len(P.coeffs) == q + 2
 
 
+RESIDUE = "not a constant times a power of A"
+REMAINDER = "nonzero final remainder"
+
+
 @pytest.mark.parametrize("field, text", [((7, 1), "(3x-1)/(x+3)"), ((19, 1), "(-x-1)/(x-1)"),
                                          ((17, 1), "(14x+13)/(6x+2)"), ((5, 1), "2x")])
 def test_factor_by_orbit_rejects_a_bent_family(monkeypatch, field, text):
@@ -181,12 +186,15 @@ def test_factor_by_orbit_rejects_a_bent_family(monkeypatch, field, text):
     s = mo.parse_moebius(ctx, text)
     a_vec, b_vec, j = inv.cyclic_family(s)
     # bend a constant b_i where a_i = 0: no member of the bent family is a
-    # member of the true one, so no factor can be found
+    # member of the true one, so the expansion fails: at a residue when the
+    # companion has several factors, and at the last, linear term when it
+    # has one
+    message = RESIDUE if len(sf.factor_by_orbit(s).factors) > 1 else REMAINDER
     i = next(i for i, a in enumerate(a_vec) if not a)
     bent = list(b_vec)
     bent[i] = ctx.add(bent[i], 1)
-    monkeypatch.setattr(inv, "cyclic_family", lambda t: (a_vec, bent, j))
-    with pytest.raises(InvariantViolation, match="does not exhaust"):
+    monkeypatch.setattr(inv, "_cyclic_family", lambda t, r: (a_vec, bent, j))
+    with pytest.raises(InvariantViolation, match=message):
         sf.factor_by_orbit(s)
 
 
@@ -318,23 +326,82 @@ def test_factor_by_orbit_rejects_a_degree_off_the_order(monkeypatch, F7):
 def test_factor_by_orbit_rejects_a_family_of_the_wrong_length(monkeypatch, F7):
     s = mo.parse_moebius(F7, "(3x-1)/(x+3)")
     a_vec, b_vec, j = inv.cyclic_family(s)
-    monkeypatch.setattr(inv, "cyclic_family", lambda t: (a_vec + [0], b_vec + [1], j))
+    monkeypatch.setattr(inv, "_cyclic_family", lambda t, r: (a_vec + [0], b_vec + [1], j))
     with pytest.raises(InvariantViolation, match="degree differs from the order"):
         sf.factor_by_orbit(s)
 
 
 @pytest.mark.parametrize("text", ["(3x-1)/(x+3)", "2x", "x+1", "(1)/(x)"])
 def test_factor_by_orbit_checks_the_reconstruction(monkeypatch, F7, text):
+    # the expansion multiplies too, so only the last product, the one that
+    # completes the reconstruction, is moved off by one
     s = mo.parse_moebius(F7, text)
-    product = upoly.encoded_mul
+    product, calls = upoly.encoded_mul, []
+
+    def counted(ctx, a, b):
+        calls.append(None)
+        return product(ctx, a, b)
+
+    monkeypatch.setattr(upoly, "encoded_mul", counted)
+    sf.factor_by_orbit(s)
+    last = len(calls)
 
     def off_by_one(ctx, a, b):
-        out = product(ctx, a, b)
-        out[0] = ctx.add(out[0], 1)
+        out = counted(ctx, a, b)
+        if len(calls) == 2 * last:
+            out[0] = ctx.add(out[0], 1)
         return out
 
     monkeypatch.setattr(upoly, "encoded_mul", off_by_one)
     with pytest.raises(InvariantViolation, match="do not reconstruct the input"):
+        sf.factor_by_orbit(s)
+
+
+def test_factor_by_orbit_finds_the_order_once(monkeypatch, F7):
+    order, calls = mo.Moebius.order, []
+
+    def counted(t):
+        calls.append(t)
+        return order(t)
+
+    elements = [t for t in go.full_pgl(F7) if not t.is_identity()]
+    monkeypatch.setattr(mo.Moebius, "order", counted)
+    for t in elements:
+        sf.factor_by_orbit(t)
+    assert calls == elements
+
+
+def _patched_companion(monkeypatch, ctx, text, build):
+    """s = text over ctx, with its monic companion replaced by the encoded
+    build(a_vec, b_vec) of its family.  For x+1 over F_7 the family is not
+    read off companions, so only the factorization sees the patch."""
+    s = mo.parse_moebius(ctx, text)
+    a_vec, b_vec, _ = inv.cyclic_family(s)
+    W = build(a_vec, b_vec)
+    monkeypatch.setattr(inv, "monic_companion", lambda field, key: list(W))
+    return s
+
+
+def test_factor_by_orbit_rejects_a_residue_off_the_powers_of_a(monkeypatch, F7):
+    # T^14 is monic of degree 2r, and T^14 mod B = T^2 is no constant times A^2 = 1
+    s = _patched_companion(monkeypatch, F7, "x+1", lambda a_vec, b_vec: [0] * 14 + [1])
+    with pytest.raises(InvariantViolation, match=RESIDUE):
+        sf.factor_by_orbit(s)
+
+
+def test_factor_by_orbit_rejects_a_nonzero_final_remainder(monkeypatch, F7):
+    # 2*F_3 expands as 2*B + 6*A: the residue passes, and 2 is left over
+    s = _patched_companion(monkeypatch, F7, "x+1",
+                           lambda a_vec, b_vec: F7.addmul([0] * 8, 2, F7.addmul(b_vec, 3, a_vec)))
+    with pytest.raises(InvariantViolation, match=REMAINDER):
+        sf.factor_by_orbit(s)
+
+
+def test_factor_by_orbit_rejects_a_repeated_root(monkeypatch, F7):
+    # F_3^2 expands fully, but P(Y) = (Y + 3)^2 has one root, not two
+    s = _patched_companion(monkeypatch, F7, "x+1", lambda a_vec, b_vec: upoly.encoded_mul(
+        F7, F7.addmul(b_vec, 3, a_vec), F7.addmul(b_vec, 3, a_vec)))
+    with pytest.raises(InvariantViolation, match="P has 1 distinct roots in F_\\(q\\^k\\), not 2"):
         sf.factor_by_orbit(s)
 
 
@@ -687,6 +754,130 @@ def test_factor_general_k_lifts_the_ground_family(p, m, k):
         family, _ = inv.orbit_family(go.Subgroup(ctx, s.powers()))
         assert res.inner.family == tuple((gf.embed(a, ground), gf.embed(b, ground))
                                          for a, b in family)
+
+
+def _reference_factor_general_k(s, k):
+    """factor_general_k as it ran before the expansion: the sweep of
+    factor_by_orbit on s lifted to F_{q^k}, then each factor multiplied by
+    its conjugates under the coefficient-wise Frobenius."""
+    ctx = s.ctx
+    q = ctx.order
+    input_poly = sf.companion_poly(ctx, s.entries(), k)
+    ground = gf.extension_of(ctx, k)
+    inner = _reference_factor_by_orbit(s.lift_to(ground))
+
+    def descend(poly):
+        assert all(gf.in_subfield(c, ctx) for c in poly.coeffs)
+        return upoly.Poly(ctx, [gf.down_cast(c, ctx) for c in poly.coeffs])
+
+    def frob_poly(poly):
+        return upoly.Poly(ground, tuple(c ** q for c in poly.coeffs))
+
+    pending = {p: None for p in list(inner.removed_linear) + [e.poly for e in inner.factors]}
+    merged = []
+    while pending:
+        poly = next(iter(pending))
+        orbit = [poly]
+        nxt = frob_poly(poly)
+        while nxt != poly:
+            assert nxt in pending
+            orbit.append(nxt)
+            nxt = frob_poly(nxt)
+        for member in orbit:
+            pending.pop(member)
+        merged.append(descend(math.prod(orbit, start=upoly.Poly.one(ground))))
+    assert all(upoly.is_irreducible(f) for f in merged)
+    merged.sort(key=lambda f: f.key())
+    result = sf.GeneralKFactorization(input_poly, k, ground, inner, tuple(merged),
+                                      gf.down_cast(inner.unit, ctx))
+    assert result.reconstruct() == input_poly
+    return result
+
+
+@pytest.mark.parametrize("p, m, k, sample", [
+    (2, 1, 2, None), (2, 1, 3, None), (2, 1, 4, None), (3, 1, 2, None), (3, 1, 3, None),
+    (2, 2, 2, None), (5, 1, 2, None), (7, 1, 3, 4), (3, 2, 2, 8), (17, 1, 2, 4)])
+def test_factor_general_k_matches_the_lift_reference(p, m, k, sample):
+    ctx = gf.field_create(p, m)
+    elements = [mo.Moebius.from_key(ctx, key) for key in go.pgl_keys(ctx)
+                if key != mo.IDENTITY_KEY]
+    if sample is not None:
+        elements = random.Random(f"{p},{m},{k}").sample(elements, sample)
+    for s in elements:
+        assert sf.factor_general_k(s, k) == _reference_factor_general_k(s, k)
+
+
+def test_factor_general_k_lifts_nothing(monkeypatch, F2, F4, F7, F19):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factor_general_k must not lift s")
+
+    cases = [(mo.parse_moebius(F19, "(-x-1)/(x-1)"), 2), (mo.parse_moebius(F7, "x+1"), 2),
+             (mo.parse_moebius(F7, "(3x-1)/(x+3)"), 3)]
+    cases += [(t, k) for t in go.full_pgl(F2) if not t.is_identity() for k in (2, 3)]
+    cases += [(next(t for t in go.full_pgl(F4) if t.order() == 5), 2)]
+    expected = [sf.factor_general_k(t, k) for t, k in cases]
+    monkeypatch.setattr(mo.Moebius, "lift_to", forbidden)
+    assert [sf.factor_general_k(t, k) for t, k in cases] == expected
+
+
+def test_factor_general_k_rejects_an_irrational_stripped_companion(monkeypatch, F19):
+    # the fixed points of (-x-1)/(x-1) are the conjugates +-i of F_361; with
+    # one of them stripped the quotient does not lie over F_19
+    s = mo.parse_moebius(F19, "(-x-1)/(x-1)")
+    solve = mo.Moebius.fixed_encodings
+    assert min(solve(s, gf.extension_of(F19, 2))) >= 19
+    monkeypatch.setattr(mo.Moebius, "fixed_encodings", lambda t, ext: solve(t, ext)[:1])
+    with pytest.raises(InvariantViolation, match="stripped companion is not rational"):
+        sf.factor_general_k(s, 2)
+
+
+def _edited_inner(monkeypatch, edit):
+    """Make sf._structured return its result with the factor entries edited."""
+    structured = sf._structured
+
+    def edited(t, k):
+        inner = structured(t, k)
+        return dataclasses.replace(inner, factors=tuple(edit(list(inner.factors), t.ctx)))
+
+    monkeypatch.setattr(sf, "_structured", edited)
+
+
+def test_factor_general_k_checks_the_merged_reconstruction(monkeypatch, F7):
+    # every entry merges as it should, but the unit is off by one
+    structured = sf._structured
+    monkeypatch.setattr(sf, "_structured", lambda t, k: dataclasses.replace(
+        structured(t, k), unit=structured(t, k).unit + 1))
+    with pytest.raises(InvariantViolation, match="merged factors do not reconstruct"):
+        sf.factor_general_k(mo.parse_moebius(F7, "(3x-1)/(x+3)"), 2)
+
+
+def _irrational(entries, ctx):
+    return [i for i, e in enumerate(entries) if e.lam.value.rep >= ctx.order]
+
+
+def test_factor_general_k_rejects_a_missing_conjugate(monkeypatch, F19):
+    def drop(entries, ctx):
+        del entries[_irrational(entries, ctx)[0]]
+        return entries
+
+    _edited_inner(monkeypatch, drop)
+    with pytest.raises(InvariantViolation, match="conjugate is missing"):
+        sf.factor_general_k(mo.parse_moebius(F19, "(-x-1)/(x-1)"), 2)
+
+
+def test_factor_general_k_rejects_an_irrational_merged_factor(monkeypatch, F19):
+    # the fibre of a lambda outside F_19 takes the polynomial of a lambda off
+    # its Frobenius orbit, so that orbit multiplies to a product off F_19
+    def swap(entries, ctx):
+        i = _irrational(entries, ctx)[0]
+        lam = entries[i].lam.value
+        j = next(j for j, e in enumerate(entries) if e.lam.value not in (lam, lam ** ctx.order))
+        entries[i] = sf.FactorEntry(entries[j].poly, entries[i].lam)
+        return entries
+
+    _edited_inner(monkeypatch, swap)
+    with pytest.raises(InvariantViolation, match="merged factor coefficient is not rational"):
+        sf.factor_general_k(mo.parse_moebius(F19, "(-x-1)/(x-1)"), 2)
 
 
 def test_solution_counts(F3):
